@@ -1,9 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"edem/internal/campaign"
+	"edem/internal/core"
+	"edem/internal/dataset"
+	"edem/internal/propane"
 )
 
 // TestCmdCampaignFlagValidation pins the target-selection errors that
@@ -75,9 +82,11 @@ func TestCmdCampaignStopAndResume(t *testing.T) {
 	}
 }
 
-// TestCmdCampaignFork drives the fork fast path through the CLI: a
-// forked journaled campaign is stopped, resumed with -fork still on,
-// and the forked ARFF must be byte-identical to the slow path's.
+// TestCmdCampaignFork drives the fork fast path — the only path the
+// CLI takes for a Forkable target — through a stopped and resumed
+// journaled campaign. The journal's ARFF must be byte-identical to the
+// slow path's, computed in-process with the target's Forkable
+// implementation hidden. The retired -fork flag must be rejected.
 func TestCmdCampaignFork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign; skipped in -short mode")
@@ -85,35 +94,50 @@ func TestCmdCampaignFork(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal")
 	scale := []string{"-dataset", "MG-A1", "-scale", "2", "-stride", "16"}
 
-	args := append([]string{"campaign", "-journal", journal, "-shards", "6", "-stop-after", "2", "-fork"}, scale...)
+	if err := run(append([]string{"campaign", "-journal", journal, "-fork"}, scale...)); err == nil {
+		t.Fatal("-fork should be rejected as an unknown flag")
+	}
+	args := append([]string{"campaign", "-journal", journal, "-shards", "6", "-stop-after", "2"}, scale...)
 	if err := run(args); err != nil {
 		t.Fatalf("interrupted forked campaign should exit cleanly: %v", err)
 	}
-	args = append([]string{"campaign", "-journal", journal, "-shards", "6", "-resume", "-fork"}, scale...)
+	args = append([]string{"campaign", "-journal", journal, "-shards", "6", "-resume"}, scale...)
 	if err := run(args); err != nil {
 		t.Fatalf("forked resume: %v", err)
 	}
-
-	dir := t.TempDir()
-	forked := filepath.Join(dir, "forked.arff")
-	slow := filepath.Join(dir, "slow.arff")
-	args = append([]string{"inject", "-fork", "-arff", forked}, scale...)
+	forked := filepath.Join(t.TempDir(), "forked.arff")
+	args = append([]string{"inject", "-journal", journal, "-arff", forked}, scale...)
 	if err := run(args); err != nil {
-		t.Fatalf("forked inject: %v", err)
-	}
-	args = append([]string{"inject", "-arff", slow}, scale...)
-	if err := run(args); err != nil {
-		t.Fatalf("slow inject: %v", err)
+		t.Fatalf("inject from journal: %v", err)
 	}
 	a, err := os.ReadFile(forked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(slow)
+
+	opts := core.DefaultOptions()
+	opts.TestCases, opts.BitStride = 2, 16
+	target, spec, err := core.SpecFor("MG-A1", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
+	ctx := context.Background()
+	res, err := campaign.Run(ctx, struct{ propane.Target }{target}, spec, campaign.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fork != (propane.ForkStats{}) {
+		t.Fatalf("slow reference forked: %+v", res.Fork)
+	}
+	d, err := core.Preprocess(ctx, res.Campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slow bytes.Buffer
+	if err := dataset.WriteARFF(&slow, d); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, slow.Bytes()) {
 		t.Fatal("forked ARFF differs from slow-path ARFF")
 	}
 }

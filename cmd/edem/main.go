@@ -97,7 +97,6 @@ func usage() {
 commands:
   campaign  -dataset ID|-all -journal DIR [-resume]       run a resumable fault-injection campaign
             [-shards N] [-timeout D] [-max-retries N] [-stop-after N] [-stats]
-            [-fork]  fork injected runs from per-column golden snapshots (~10x)
             [-incremental]  after a spec change, re-run only invalidated shards
   fabric    serve -dataset ID -journal DIR [-addr H:P]    coordinate a distributed campaign
             [-resume] [-incremental] [-lease-ttl D] [-linger D]
@@ -126,7 +125,7 @@ commands:
   rank      -dataset ID [-method ig|gr|su]                rank the module variables by class information
   list                                                    list Table II dataset IDs
 
-common flags (all commands): -seed N -scale N -stride N -workers N -journal DIR -fork
+common flags (all commands): -seed N -scale N -stride N -workers N -journal DIR
 fault model:  -fault-model transient|burst|stuckat|intermittent
               -burst-width N (burst)   -persist N (intermittent)
               non-transient models version the plan hash; transient stays byte-identical
@@ -149,7 +148,6 @@ func commonOpts(fs *flag.FlagSet) (*core.Options, *telemetryCfg) {
 	fs.IntVar(&opts.BitStride, "stride", opts.BitStride, "bit sampling stride (1 = every bit, the paper's setting)")
 	fs.IntVar(&opts.Workers, "workers", 0, "global worker budget shared across all nesting levels (0 = all cores)")
 	fs.StringVar(&opts.Journal, "journal", "", "campaign checkpoint root (one journal per dataset under DIR)")
-	fs.BoolVar(&opts.Fork, "fork", false, "enable the golden-state forking fast path for Forkable targets (bit-identical results, ~10x faster campaigns)")
 	// The fault-model axis. The default (transient, width 1, persist 1)
 	// reproduces today's campaigns byte-for-byte: same plan hash, same
 	// journal, same ARFF.

@@ -84,13 +84,6 @@ type Config struct {
 	// restored ones) and the total. Calls are serialised but may come
 	// from any worker goroutine.
 	OnCheckpoint func(done, total int)
-	// Fork enables the golden-state forking fast path for targets that
-	// implement propane.Forkable; other targets fall back to the slow
-	// path transparently. Fork is an execution knob: it does not enter
-	// the plan hash, and fast-path records are bit-identical to slow-
-	// path records, so a journal may be written with one setting and
-	// resumed with the other.
-	Fork bool
 }
 
 func (c *Config) backoff() time.Duration {
@@ -141,11 +134,10 @@ type Result struct {
 	ShardsInvalidated, ShardsReused int
 	// Skipped lists the cells the engine gave up on, in job order.
 	Skipped []SkippedCell
-	// Fork aggregates fast-path statistics over the whole campaign:
-	// restored shards contribute their journaled stats, fresh shards
-	// what actually happened this invocation. Snapshots is live-only
-	// (golden columns are rebuilt per invocation, not journaled). All
-	// zero when Config.Fork was off or the target is not Forkable.
+	// Fork counts the fast-path events of the shards this invocation
+	// ran; restored shards contribute nothing, because the journal
+	// records results, not how they were computed. All zero when the
+	// target is not propane.Forkable.
 	Fork propane.ForkStats
 }
 
@@ -185,7 +177,6 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 
 	records := make([]propane.Record, len(plan.Jobs))
 	var skipped []SkippedCell
-	var forkTotals propane.ForkStats
 	for shard, cp := range restored {
 		lo, hi := plan.ShardRange(shard)
 		if len(cp.Records) != hi-lo {
@@ -200,12 +191,6 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 			records[lo+i] = rec
 		}
 		skipped = append(skipped, cp.Skipped...)
-		if cp.Fork != nil {
-			forkTotals.Forked += cp.Fork.Forked
-			forkTotals.Converged += cp.Fork.Converged
-			forkTotals.MemoHits += cp.Fork.MemoHits
-			forkTotals.Fallbacks += cp.Fork.Fallbacks
-		}
 	}
 
 	var pending []int
@@ -219,11 +204,7 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 		if err := e.prepareGoldens(ctx); err != nil {
 			return nil, err
 		}
-		if cfg.Fork {
-			if ft, ok := target.(propane.Forkable); ok {
-				e.fork = propane.NewForkRunner(ft, plan.Spec, plan.Module)
-			}
-		}
+		e.startFork()
 		fresh, err := e.runShards(ctx, pending, records)
 		if err != nil {
 			return nil, err
@@ -250,17 +231,10 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 	e.reg.Counter("campaign.torn_tails").Add(int64(prep.torn))
 	e.reg.Counter("campaign.shards_invalidated").Add(int64(prep.invalidated))
 	e.reg.Counter("campaign.shards_reused").Add(int64(prep.reused))
+	var forkStats propane.ForkStats
 	if e.fork != nil {
-		// Telemetry reports this invocation's fast-path events; the
-		// Result's Fork field aggregates the whole campaign including
-		// restored shards.
 		e.fork.Report(e.reg)
-		live := e.fork.Stats()
-		forkTotals.Snapshots = live.Snapshots
-		forkTotals.Forked += live.Forked
-		forkTotals.Converged += live.Converged
-		forkTotals.MemoHits += live.MemoHits
-		forkTotals.Fallbacks += live.Fallbacks
+		forkStats = e.fork.Stats()
 	}
 
 	varNames := make([]string, len(plan.Module.Vars))
@@ -278,7 +252,7 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 		ShardsInvalidated: prep.invalidated,
 		ShardsReused:      prep.reused,
 		Skipped:           skipped,
-		Fork:              forkTotals,
+		Fork:              forkStats,
 	}, nil
 }
 
@@ -380,8 +354,8 @@ type engine struct {
 	jnl    *journal
 	reg    *telemetry.Registry
 
-	// fork is the golden-state fast path, nil unless Config.Fork is set
-	// and the target is Forkable.
+	// fork is the golden-state fast path, nil when the target is not
+	// Forkable.
 	fork *propane.ForkRunner
 
 	metrics *propane.RunMetrics
@@ -424,6 +398,16 @@ func (e *engine) prepareGoldens(ctx context.Context) error {
 		e.goldens[i] = out
 		return nil
 	})
+}
+
+// startFork builds the fork fast path when the target implements
+// propane.Forkable. The fork runner itself refuses the cells it cannot
+// run soundly (persistent fault models, columns failing the golden
+// self-check), which then take the slow path.
+func (e *engine) startFork() {
+	if ft, ok := e.target.(propane.Forkable); ok {
+		e.fork = propane.NewForkRunner(ft, e.plan.Spec, e.plan.Module)
+	}
 }
 
 // runShards executes the pending shards on the shared scheduler. Jobs
@@ -470,14 +454,10 @@ func (e *engine) runShards(ctx context.Context, pending []int, records []propane
 func (e *engine) runShard(ctx context.Context, shard int, records []propane.Record) (checkpoint, error) {
 	lo, hi := e.plan.ShardRange(shard)
 	cp := checkpoint{Plan: e.plan.Hash, Shard: shard, Records: make([]recordJSON, 0, hi-lo)}
-	var fs forkShardStats
 	for idx := lo; idx < hi; idx++ {
-		rec, oc, skip, err := e.runCell(ctx, idx)
+		rec, skip, err := e.runCell(ctx, idx)
 		if err != nil {
 			return checkpoint{}, err
-		}
-		if e.fork != nil {
-			fs.observe(oc)
 		}
 		if records != nil {
 			records[idx] = rec
@@ -487,24 +467,15 @@ func (e *engine) runShard(ctx context.Context, shard int, records []propane.Reco
 			cp.Skipped = append(cp.Skipped, *skip)
 		}
 	}
-	if e.fork != nil {
-		cp.Fork = &fs
-	}
 	return cp, nil
 }
 
-// cellResult pairs a cell's record with how it was resolved, so the
-// shard loop can attribute fast-path statistics per shard.
-type cellResult struct {
-	rec propane.Record
-	oc  propane.ForkOutcome
-}
-
 // runCell executes one cell of the injection space with retry, timeout
-// and panic isolation, trying the fork fast path first when enabled.
-// The returned error is only ever a context error: infrastructure
-// failures degrade to a skip, injected-run crashes are data.
-func (e *engine) runCell(ctx context.Context, idx int) (propane.Record, propane.ForkOutcome, *SkippedCell, error) {
+// and panic isolation, trying the fork fast path first when the target
+// is Forkable. The returned error is only ever a context error:
+// infrastructure failures degrade to a skip, injected-run crashes are
+// data.
+func (e *engine) runCell(ctx context.Context, idx int) (propane.Record, *SkippedCell, error) {
 	j := e.plan.Jobs[idx]
 	placeholder := propane.Record{
 		TestCase:      e.tcs[j.TC].ID,
@@ -513,7 +484,7 @@ func (e *engine) runCell(ctx context.Context, idx int) (propane.Record, propane.
 		InjectionTime: j.Time,
 	}
 	if reason := e.goldenErr[j.TC]; reason != "" {
-		return placeholder, propane.ForkFellBack, e.skipCell(idx, j, 0, reason), nil
+		return placeholder, e.skipCell(idx, j, 0, reason), nil
 	}
 	var runStart time.Time
 	if e.metrics.Enabled() {
@@ -521,23 +492,23 @@ func (e *engine) runCell(ctx context.Context, idx int) (propane.Record, propane.
 	}
 	out, attempts, err := e.attempt(ctx, func() (any, error) {
 		if e.fork != nil {
-			if rec, oc := e.fork.RunJob(j.TC, e.tcs[j.TC], e.goldens[j.TC], j); oc.FromFork() {
-				return cellResult{rec, oc}, nil
+			if rec, ok := e.fork.RunJob(j.TC, e.tcs[j.TC], e.goldens[j.TC], j); ok {
+				return rec, nil
 			}
 		}
-		return cellResult{propane.RunJob(e.target, e.plan.Spec, e.plan.Module, e.tcs[j.TC], e.goldens[j.TC], j), propane.ForkFellBack}, nil
+		return propane.RunJob(e.target, e.plan.Spec, e.plan.Module, e.tcs[j.TC], e.goldens[j.TC], j), nil
 	})
 	if ctx.Err() != nil {
-		return placeholder, propane.ForkFellBack, nil, ctx.Err()
+		return placeholder, nil, ctx.Err()
 	}
 	if err != nil {
-		return placeholder, propane.ForkFellBack, e.skipCell(idx, j, attempts, err.Error()), nil
+		return placeholder, e.skipCell(idx, j, attempts, err.Error()), nil
 	}
-	cr := out.(cellResult)
+	rec := out.(propane.Record)
 	if e.metrics.Enabled() {
-		e.metrics.Observe(cr.rec, time.Since(runStart))
+		e.metrics.Observe(rec, time.Since(runStart))
 	}
-	return cr.rec, cr.oc, nil, nil
+	return rec, nil, nil
 }
 
 func (e *engine) skipCell(idx int, j propane.Job, attempts int, reason string) *SkippedCell {

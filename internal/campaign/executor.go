@@ -22,7 +22,7 @@ type Executor struct {
 
 // NewExecutor builds the plan for (target, spec), prepares the goldens
 // and returns an executor ready to run any shard. Config is honoured
-// for execution knobs (Shards, Timeout, MaxRetries, Backoff, Fork);
+// for execution knobs (Shards, Timeout, MaxRetries, Backoff);
 // journal fields are ignored — executors never touch disk, they hand
 // encoded checkpoint lines to the caller.
 func NewExecutor(ctx context.Context, target propane.Target, spec propane.Spec, cfg Config) (*Executor, error) {
@@ -56,11 +56,7 @@ func newExecutorForPlan(ctx context.Context, target propane.Target, plan *Plan, 
 	if err := e.prepareGoldens(ctx); err != nil {
 		return nil, err
 	}
-	if cfg.Fork {
-		if ft, ok := target.(propane.Forkable); ok {
-			e.fork = propane.NewForkRunner(ft, plan.Spec, plan.Module)
-		}
-	}
+	e.startFork()
 	return &Executor{e: e}, nil
 }
 

@@ -21,8 +21,8 @@ import (
 //	<dir>/manifest.json      content-addressed plan description
 //	<dir>/checkpoints.jsonl  one JSON line per completed shard
 //
-// The manifest is written once, atomically (tmp + rename), before any
-// shard executes. Checkpoint lines are appended and fsynced as shards
+// The manifest is written once, atomically (tmp, fsync, rename,
+// directory fsync), before any shard executes. Checkpoint lines are appended and fsynced as shards
 // complete, in completion order — which varies with scheduling — so the
 // log is an unordered set keyed by shard index; resume sorts it back
 // into plan order. A line truncated by a kill mid-append fails to parse
@@ -138,37 +138,6 @@ type checkpoint struct {
 	Shard   int           `json:"shard"`
 	Records []recordJSON  `json:"records"`
 	Skipped []SkippedCell `json:"skipped,omitempty"`
-	// Fork records the shard's fast-path statistics when the shard was
-	// executed with Config.Fork; absent otherwise (and in journals
-	// written before the fast path existed). Restored shards report
-	// these stats instead of re-earning them, so a resumed campaign's
-	// Result reflects what actually happened.
-	Fork *forkShardStats `json:"fork,omitempty"`
-}
-
-// forkShardStats is the per-shard slice of propane.ForkStats that is
-// attributable to a shard (snapshots are shared across shards and
-// excluded).
-type forkShardStats struct {
-	Forked    int64 `json:"forked,omitempty"`
-	Converged int64 `json:"conv,omitempty"`
-	MemoHits  int64 `json:"memo,omitempty"`
-	Fallbacks int64 `json:"fb,omitempty"`
-}
-
-func (s *forkShardStats) observe(oc propane.ForkOutcome) {
-	switch oc {
-	case propane.ForkRan:
-		s.Forked++
-	case propane.ForkConverged:
-		s.Forked++
-		s.Converged++
-	case propane.ForkMemoized:
-		s.Forked++
-		s.MemoHits++
-	case propane.ForkFellBack:
-		s.Fallbacks++
-	}
 }
 
 // recordJSON is the journal encoding of propane.Record. State values
@@ -247,7 +216,8 @@ type journal struct {
 // createJournal initialises a fresh journal directory: the manifest is
 // staged to a temp file and renamed into place so a kill during
 // creation leaves either no journal or a complete one, never a torn
-// manifest.
+// manifest. The directory is fsynced once the checkpoint log exists, so
+// the journal's directory entries survive a crash as well as its bytes.
 func createJournal(dir string, p *Plan) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -255,7 +225,15 @@ func createJournal(dir string, p *Plan) (*journal, error) {
 	if err := writeManifest(dir, newManifest(p)); err != nil {
 		return nil, err
 	}
-	return openCheckpointLog(dir)
+	j, err := openCheckpointLog(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		j.close()
+		return nil, err
+	}
+	return j, nil
 }
 
 // writeManifest stages the manifest to a temp file and renames it into
@@ -265,11 +243,48 @@ func writeManifest(dir string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	return writeFileAtomic(dir, manifestName, append(data, '\n'))
+}
+
+// writeFileAtomic replaces dir/name with data durably: the bytes are
+// staged to a temp file and fsynced, renamed into place, and the
+// directory is fsynced so the rename itself survives a crash. A kill at
+// any point leaves either the old file or the new one.
+func writeFileAtomic(dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, manifestName))
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // openJournal opens an existing journal for appending, after the
@@ -399,8 +414,9 @@ func readCheckpoints(dir, planHash string, dropForeign bool) (done map[int]check
 	return done, torn, foreign, nil
 }
 
-// writeCheckpointLog stages a full checkpoint log (tmp + rename +
-// fsync) holding exactly the given shards in ascending shard order.
+// writeCheckpointLog durably replaces the checkpoint log (see
+// writeFileAtomic) with exactly the given shards in ascending shard
+// order.
 func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 	shards := make([]int, 0, len(cps))
 	for s := range cps {
@@ -415,23 +431,7 @@ func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 		}
 		buf = append(buf, line...)
 	}
-	tmp := filepath.Join(dir, checkpointsName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, checkpointsName))
+	return writeFileAtomic(dir, checkpointsName, buf)
 }
 
 // sealJournal compacts a completed journal into its canonical form:

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -33,18 +34,55 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if needed) an append-only journal file,
-// creating parent directories as required.
+// creating parent directories as required. A torn tail left by a killed
+// append is cut off first: appending after it would glue the next
+// acknowledged record onto the fragment, and both would be lost.
 func OpenJournal(path string) (*Journal, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := truncateTornTail(f); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &Journal{path: path, f: f}, nil
+}
+
+// truncateTornTail cuts f back to the byte after its last newline, and
+// to empty when it holds no newline at all, so the file ends on a
+// record boundary.
+func truncateTornTail(f *os.File) error {
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := info.Size()
+	keep := int64(0)
+	buf := make([]byte, 4096)
+	for end := size; end > 0; {
+		n := min(end, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			keep = end - n + int64(i) + 1
+			break
+		}
+		end -= n
+	}
+	if keep == size {
+		return nil
+	}
+	if err := f.Truncate(keep); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Path returns the journal's file path.

@@ -86,10 +86,9 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatalf("got %d records, want the 3 complete ones", len(recs))
 	}
 
-	// Appends continue cleanly after the torn tail: the new record
-	// starts on its own line... actually it continues the torn line —
-	// which is exactly why readers must tolerate one lost record per
-	// crash, and why the count stays at one.
+	// Reopening repairs the torn tail, so the first record acknowledged
+	// after the restart starts on its own line and survives instead of
+	// being glued to the fragment.
 	j2, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +99,40 @@ func TestJournalTornTail(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, torn2, err := ReadDiffs(path)
+	recs2, torn2, err := ReadDiffs(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if torn2 != 1 {
-		t.Fatalf("torn after continued appends = %d, want still 1", torn2)
+	if torn2 != 0 || len(recs2) != 4 || recs2[3].Detector != "e" {
+		t.Fatalf("after reopen and append: %d records (torn %d), want the 3 old ones and the new one",
+			len(recs2), torn2)
+	}
+}
+
+// TestJournalReopenTornOnly: a journal holding nothing but a torn
+// fragment (a kill during the very first append) reopens empty, and the
+// next acknowledged record reads back.
+func TestJournalReopenTornOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "feedback.jsonl")
+	if err := os.WriteFile(path, []byte(`{"unix_ms":1,"detec`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(FeedbackRecord{UnixMS: 2, Detector: "a", Outcome: OutcomeBenign}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, torn, err := ReadFeedback(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn != 0 || len(recs) != 1 || recs[0].Detector != "a" {
+		t.Fatalf("recs=%d torn=%d, want the acknowledged record and no torn line", len(recs), torn)
 	}
 }
 

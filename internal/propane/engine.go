@@ -45,12 +45,6 @@ type Spec struct {
 	// job enumeration — every model injects at the same (tc, var, bit,
 	// time) cells — only what each injection does to the variable.
 	Fault bitflip.Fault
-	// Fork opts into the golden-state forking fast path for targets
-	// implementing Forkable (see fork.go). It is an execution knob, not
-	// a result-determining parameter: records are bit-identical with it
-	// on or off, and it is deliberately excluded from campaign plan
-	// hashes. Non-Forkable targets fall back to the slow path.
-	Fork bool
 }
 
 // Validate checks the spec for structural problems.
@@ -269,15 +263,14 @@ func Run(ctx context.Context, target Target, spec Spec) (*Campaign, error) {
 	reg.Counter("campaign.golden_runs").Add(int64(len(tcs)))
 	metrics := NewRunMetrics(reg).WithFault(spec.Fault)
 
-	// Fast path: fork every cell of a column from one golden snapshot
-	// instead of re-running the fault-free prefix per cell. Opt-in, and
-	// only for targets that implement the Forkable contract; results
-	// are bit-identical either way (see fork.go).
+	// Fast path: a target implementing the Forkable contract forks every
+	// cell of a column from one golden snapshot instead of re-running the
+	// fault-free prefix per cell. Results are bit-identical to the slow
+	// path (see fork.go), which still runs for other targets and for the
+	// cells the fork runner refuses.
 	var fork *ForkRunner
-	if spec.Fork {
-		if ft, ok := target.(Forkable); ok {
-			fork = NewForkRunner(ft, spec, mod)
-		}
+	if ft, ok := target.(Forkable); ok {
+		fork = NewForkRunner(ft, spec, mod)
 	}
 
 	// Injected runs are independent, so they fan out on the shared
@@ -294,9 +287,7 @@ func Run(ctx context.Context, target Target, spec Spec) (*Campaign, error) {
 		var rec Record
 		fromFork := false
 		if fork != nil {
-			var outcome ForkOutcome
-			rec, outcome = fork.RunJob(j.TC, tcs[j.TC], golden[j.TC], j)
-			fromFork = outcome.FromFork()
+			rec, fromFork = fork.RunJob(j.TC, tcs[j.TC], golden[j.TC], j)
 		}
 		if !fromFork {
 			rec = RunJob(target, spec, mod, tcs[j.TC], golden[j.TC], j)

@@ -370,7 +370,7 @@ func TestRunDeterminismPerModel(t *testing.T) {
 }
 
 // TestForkEquivalenceBurst extends the fork bit-identity invariant to
-// the burst model: Fork on/off yields identical records.
+// the burst model: the fork and the slow path yield identical records.
 func TestForkEquivalenceBurst(t *testing.T) {
 	for _, at := range []struct {
 		name           string
@@ -383,11 +383,10 @@ func TestForkEquivalenceBurst(t *testing.T) {
 			spec := toySpec()
 			spec.InjectAt, spec.SampleAt = at.inject, at.sample
 			spec.Fault = bitflip.Fault{Model: bitflip.Burst, Width: 4}
-			slow, err := Run(context.Background(), &forkToy{}, spec)
+			slow, err := Run(context.Background(), slowPath(&forkToy{}), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Fork = true
 			fast, err := Run(context.Background(), &forkToy{}, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -419,7 +418,7 @@ func TestPersistentModelsRefuseFork(t *testing.T) {
 			fr := NewForkRunner(target, spec, mod)
 			jobs := spec.Jobs(mod)
 			for _, j := range jobs[:4] {
-				if _, oc := fr.RunJob(j.TC, tcs[j.TC], golden, j); oc != ForkFellBack {
+				if _, ok := fr.RunJob(j.TC, tcs[j.TC], golden, j); ok {
 					t.Fatalf("job %+v took the fork path under %s", j, f)
 				}
 			}
@@ -428,19 +427,14 @@ func TestPersistentModelsRefuseFork(t *testing.T) {
 				t.Fatalf("persistent fork stats: %+v, want 4 fallbacks and nothing else", st)
 			}
 
-			slow, err := Run(context.Background(), target, spec)
+			slow, err := Run(context.Background(), slowPath(target), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast := func() *Campaign {
-				s := spec
-				s.Fork = true
-				c, err := Run(context.Background(), target, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}()
+			fast, err := Run(context.Background(), target, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sameRecords(t, fast.Records, slow.Records)
 		})
 	}

@@ -195,33 +195,20 @@ type ForkStats struct {
 	Fallbacks int64
 }
 
-// ForkOutcome classifies how a fork-path cell was resolved.
-type ForkOutcome int
-
-const (
-	// ForkFellBack: no usable snapshot — the caller must run the cell
-	// on the slow path.
-	ForkFellBack ForkOutcome = iota
-	// ForkRan: executed from the snapshot to natural completion.
-	ForkRan
-	// ForkConverged: early-terminated on golden-trajectory
-	// re-convergence.
-	ForkConverged
-	// ForkMemoized: early-terminated on a memoized verdict.
-	ForkMemoized
-)
-
-// FromFork reports whether the cell was resolved on the fast path.
-func (o ForkOutcome) FromFork() bool { return o != ForkFellBack }
-
 // ForkRunner executes injection cells on the fork fast path. It caches
 // one golden column per (test case, injection time) — the snapshot, the
 // golden trajectory's digest trail and the golden output — and a
-// per-column memo of post-injection verdicts. Safe for concurrent use.
+// per-column memo of post-injection verdicts. A column is evicted once
+// every cell of it has claimed it, so a complete campaign leaves the
+// runner empty and its footprint is bounded by the columns in flight.
+// Safe for concurrent use.
 type ForkRunner struct {
 	target Forkable
 	spec   Spec
 	mod    ModuleInfo
+	// colCells is the number of cells in one column: the bit-plan
+	// length summed over the module's variables.
+	colCells int
 
 	snapshots atomic.Int64
 	forked    atomic.Int64
@@ -229,7 +216,7 @@ type ForkRunner struct {
 	memoHits  atomic.Int64
 	fallbacks atomic.Int64
 
-	mu   sync.Mutex
+	mu   sync.Mutex // guards cols and every column's claims
 	cols map[colKey]*forkColumn
 }
 
@@ -245,6 +232,10 @@ type verdict struct {
 // forkColumn is the cached golden context of one (test case, injection
 // time) column.
 type forkColumn struct {
+	// claims counts the cells still to claim the column; the last claim
+	// evicts it from ForkRunner.cols.
+	claims int
+
 	once sync.Once
 	ok   bool
 	base State
@@ -275,7 +266,11 @@ func (c *forkColumn) memoPut(d Digest, v verdict) {
 // NewForkRunner builds a fork runner for one campaign. spec and mod
 // must be the validated spec and resolved module the campaign runs.
 func NewForkRunner(target Forkable, spec Spec, mod ModuleInfo) *ForkRunner {
-	return &ForkRunner{target: target, spec: spec, mod: mod, cols: make(map[colKey]*forkColumn)}
+	colCells := 0
+	for _, v := range mod.Vars {
+		colCells += len(BitPlan(v.Kind, spec.bitStride()))
+	}
+	return &ForkRunner{target: target, spec: spec, mod: mod, colCells: colCells, cols: make(map[colKey]*forkColumn)}
 }
 
 // Stats returns a snapshot of the fast-path counters.
@@ -300,15 +295,21 @@ func (f *ForkRunner) Report(reg *telemetry.Registry) {
 }
 
 // column returns (building on first use) the golden column for the
-// test case at index tcIdx and injection time t. Concurrent callers of
-// the same column block on one build.
+// test case at index tcIdx and injection time t, and counts the call as
+// one cell's claim on it. Concurrent callers of the same column block
+// on one build. The last claim evicts the column; a cell claiming an
+// evicted column — a retried cell — rebuilds it, which costs time but
+// not results, since a column is a pure function of its key.
 func (f *ForkRunner) column(tcIdx int, tc TestCase, golden any, t int) *forkColumn {
 	key := colKey{tc: tcIdx, time: t}
 	f.mu.Lock()
 	col, ok := f.cols[key]
 	if !ok {
-		col = &forkColumn{}
+		col = &forkColumn{claims: f.colCells}
 		f.cols[key] = col
+	}
+	if col.claims--; col.claims == 0 {
+		delete(f.cols, key)
 	}
 	f.mu.Unlock()
 
@@ -350,9 +351,9 @@ func (f *ForkRunner) column(tcIdx int, tc TestCase, golden any, t int) *forkColu
 }
 
 // RunJob executes one cell on the fast path. tcIdx, tc and golden must
-// correspond to j.TC. When the returned outcome is ForkFellBack the
-// record is meaningless and the caller must run the slow path.
-func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, ForkOutcome) {
+// correspond to j.TC. ok=false means the cell fell back: the record is
+// meaningless and the caller must run the slow path.
+func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (rec Record, ok bool) {
 	// Persistent fault models (stuck-at, intermittent) break the fast
 	// path's soundness argument: convergence and memoization both rest
 	// on "equal complete state ⇒ identical remaining execution", but a
@@ -363,12 +364,12 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 	// silent.
 	if f.spec.Fault.Persistent() {
 		f.fallbacks.Add(1)
-		return Record{}, ForkFellBack
+		return Record{}, false
 	}
 	col := f.column(tcIdx, tc, golden, j.Time)
 	if !col.ok {
 		f.fallbacks.Add(1)
-		return Record{}, ForkFellBack
+		return Record{}, false
 	}
 
 	// The resumed visit stream starts exactly at the trigger visit, so
@@ -418,7 +419,7 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 	out, err := runFromSafely(f.target, col.base.Clone(), probe, ctl)
 	f.forked.Add(1)
 
-	rec := Record{
+	rec = Record{
 		TestCase:      tc.ID,
 		Var:           f.mod.Vars[j.Var].Name,
 		Bit:           j.Bit,
@@ -428,7 +429,6 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 		Sampled:       probe.sampled,
 		FlipErr:       probe.flipErr,
 	}
-	outcome := ForkRan
 	switch {
 	case errors.Is(err, ErrConverged) && memoV != nil:
 		// An earlier cell of this column reached the same complete
@@ -436,14 +436,12 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 		// verdict — are identical by determinism.
 		rec.Failure, rec.Crashed = memoV.failure, memoV.crashed
 		f.memoHits.Add(1)
-		outcome = ForkMemoized
 	case errors.Is(err, ErrConverged) && matched:
 		// Re-converged with the golden trajectory: the remainder equals
 		// the golden remainder, so the outcome equals the golden output
 		// and the slow path's Failed call reduces to this one.
 		rec.Failure = f.target.Failed(tc, golden, col.goldenOut)
 		f.converged.Add(1)
-		outcome = ForkConverged
 		if haveD1 {
 			col.memoPut(d1, verdict{failure: rec.Failure, crashed: false})
 		}
@@ -461,7 +459,7 @@ func (f *ForkRunner) RunJob(tcIdx int, tc TestCase, golden any, j Job) (Record, 
 			col.memoPut(d1, verdict{failure: rec.Failure, crashed: false})
 		}
 	}
-	return rec, outcome
+	return rec, true
 }
 
 // runFromSafely mirrors runSafely for resumed runs: target panics

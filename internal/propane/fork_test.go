@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edem/internal/bitflip"
+	"edem/internal/telemetry"
 )
 
 // forkToy is the Forkable analog of toyTarget: module "M" activates
@@ -238,8 +239,13 @@ func TestNextCheckStep(t *testing.T) {
 	}
 }
 
+// slowPath hides a target's Forkable implementation, so Run takes the
+// slow path: the reference every fork-path result is compared against.
+func slowPath(t Target) Target { return struct{ Target }{t} }
+
 // TestForkEquivalence pins the tentpole invariant at the propane level:
-// the same spec with and without Fork yields bit-identical records.
+// the same spec on the fork and the slow path yields bit-identical
+// records.
 func TestForkEquivalence(t *testing.T) {
 	for _, at := range []struct {
 		name           string
@@ -252,11 +258,10 @@ func TestForkEquivalence(t *testing.T) {
 		t.Run(at.name, func(t *testing.T) {
 			spec := toySpec()
 			spec.InjectAt, spec.SampleAt = at.inject, at.sample
-			slow, err := Run(context.Background(), &forkToy{}, spec)
+			slow, err := Run(context.Background(), slowPath(&forkToy{}), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Fork = true
 			fast, err := Run(context.Background(), &forkToy{}, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -266,20 +271,26 @@ func TestForkEquivalence(t *testing.T) {
 	}
 }
 
-// TestForkNonForkableFallback: Fork on a target without the Forkable
-// interface is a silent no-op, not an error.
+// TestForkNonForkableFallback: a Forkable target takes the fast path
+// without being asked, and a target without the Forkable interface
+// (or with it hidden) runs on the slow path, reporting no fast-path
+// events.
 func TestForkNonForkableFallback(t *testing.T) {
-	spec := toySpec()
-	slow, err := Run(context.Background(), &toyTarget{}, spec)
-	if err != nil {
-		t.Fatal(err)
+	forkCells := func(target Target) int64 {
+		reg := telemetry.New()
+		if _, err := Run(telemetry.WithRegistry(context.Background(), reg), target, toySpec()); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot().Counters["campaign.fork_cells"]
 	}
-	spec.Fork = true
-	fast, err := Run(context.Background(), &toyTarget{}, spec)
-	if err != nil {
-		t.Fatal(err)
+	if n := forkCells(&forkToy{}); n == 0 {
+		t.Error("Forkable target did not take the fast path")
 	}
-	sameRecords(t, fast.Records, slow.Records)
+	for _, target := range []Target{&toyTarget{}, slowPath(&forkToy{})} {
+		if n := forkCells(target); n != 0 {
+			t.Errorf("%T: slow-path campaign forked %d cells", target, n)
+		}
+	}
 }
 
 // TestForkRunnerStats: the fast path actually forks, converges on dead
@@ -287,7 +298,6 @@ func TestForkNonForkableFallback(t *testing.T) {
 func TestForkRunnerStats(t *testing.T) {
 	target := &forkToy{Ticks: 40}
 	spec := toySpec()
-	spec.Fork = true
 	camp, err := Run(context.Background(), target, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -307,14 +317,14 @@ func TestForkRunnerStats(t *testing.T) {
 		}
 		goldens[i] = out
 	}
-	slow, err := Run(context.Background(), target, func() Spec { s := spec; s.Fork = false; return s }())
+	slow, err := Run(context.Background(), slowPath(target), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recs []Record
 	for _, j := range spec.Jobs(mod) {
-		rec, oc := f.RunJob(j.TC, tcs[j.TC], goldens[j.TC], j)
-		if !oc.FromFork() {
+		rec, ok := f.RunJob(j.TC, tcs[j.TC], goldens[j.TC], j)
+		if !ok {
 			t.Fatalf("job %+v fell back", j)
 		}
 		recs = append(recs, rec)
@@ -337,6 +347,61 @@ func TestForkRunnerStats(t *testing.T) {
 	}
 }
 
+// TestForkRunnerEvictsColumns: every column is dropped once all of its
+// cells have claimed it, so a complete campaign leaves the runner
+// empty; a cell re-run afterwards (as a retry would) rebuilds its
+// column and gets the same record.
+func TestForkRunnerEvictsColumns(t *testing.T) {
+	target := &forkToy{}
+	spec := toySpec()
+	mod, _ := Module(target, "M")
+	tcs := target.TestCases(spec.TestCases, spec.Seed)
+	goldens := make([]any, len(tcs))
+	for i, tc := range tcs {
+		out, err := RunGolden(target, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldens[i] = out
+	}
+	f := NewForkRunner(target, spec, mod)
+	columns := func() int {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return len(f.cols)
+	}
+	jobs := spec.Jobs(mod)
+	recs := make([]Record, len(jobs))
+	for i, j := range jobs {
+		rec, ok := f.RunJob(j.TC, tcs[j.TC], goldens[j.TC], j)
+		if !ok {
+			t.Fatalf("job %+v fell back", j)
+		}
+		recs[i] = rec
+		if i == 0 && columns() != 1 {
+			t.Fatalf("after the first cell the runner holds %d columns, want 1", columns())
+		}
+	}
+	if n := columns(); n != 0 {
+		t.Fatalf("after a full run the runner holds %d columns, want 0", n)
+	}
+	built := f.Stats().Snapshots
+	if want := int64(spec.TestCases * len(spec.InjectionTimes)); built != want {
+		t.Fatalf("built %d columns, want one per (test case, time) = %d", built, want)
+	}
+
+	k := len(jobs) / 2
+	j := jobs[k]
+	rec, ok := f.RunJob(j.TC, tcs[j.TC], goldens[j.TC], j)
+	if !ok {
+		t.Fatalf("re-run of job %+v fell back", j)
+	}
+	if got := f.Stats().Snapshots; got != built+1 {
+		t.Fatalf("re-run after eviction built %d columns, want 1", got-built)
+	}
+	sameRecords(t, []Record{rec}, recs[k:k+1])
+}
+
 // TestForkSelfCheck: a Forkable whose fork does not reproduce the
 // golden outcome must be refused (every cell falls back) rather than
 // produce mislabelled records.
@@ -351,19 +416,17 @@ func TestForkSelfCheck(t *testing.T) {
 	}
 	f := NewForkRunner(target, spec, mod)
 	jobs := spec.Jobs(mod)
-	_, oc := f.RunJob(jobs[0].TC, tcs[jobs[0].TC], golden, jobs[0])
-	if oc != ForkFellBack {
-		t.Fatalf("unsound decomposition not refused: outcome %v", oc)
+	if _, ok := f.RunJob(jobs[0].TC, tcs[jobs[0].TC], golden, jobs[0]); ok {
+		t.Fatal("unsound decomposition not refused")
 	}
 	if st := f.Stats(); st.Fallbacks == 0 || st.Snapshots != 0 {
 		t.Fatalf("self-check stats: %+v", st)
 	}
 	// End-to-end, the engine's fallback keeps results correct anyway.
-	slow, err := Run(context.Background(), &forkToy{}, spec)
+	slow, err := Run(context.Background(), slowPath(&forkToy{}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Fork = true
 	fast, err := Run(context.Background(), target, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -63,11 +63,12 @@ func TestForkEquivalence(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			spec := forkSpec(cfg.module, cfg.inject, cfg.sample)
-			slow, err := propane.Run(context.Background(), flightgear.System{}, spec)
+			// Hiding Forkable behind the embedded interface forces the
+			// slow path, the reference the fast path must reproduce.
+			slow, err := propane.Run(context.Background(), struct{ propane.Target }{flightgear.System{}}, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Fork = true
 			fast, err := propane.Run(context.Background(), flightgear.System{}, spec)
 			if err != nil {
 				t.Fatal(err)
