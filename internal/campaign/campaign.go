@@ -31,19 +31,23 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"edem/internal/durable"
 	"edem/internal/parallel"
 	"edem/internal/propane"
 	"edem/internal/telemetry"
 )
 
-// Config tunes the engine. The zero value is a sensible in-memory
-// configuration: no journal, auto-sized shards, a generous per-run
-// timeout and two retries.
+// Config tunes the engine. The zero value is an in-memory configuration:
+// no journal, auto-sized shards, no per-run watchdog (Timeout 0) and no
+// retries (MaxRetries 0). The CLI's -max-retries flag defaults to 2;
+// the engine's default does not.
 type Config struct {
 	// Journal is the checkpoint directory; empty disables journaling
 	// (the campaign still shards, times out, retries and skips, it just
@@ -161,7 +165,7 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 	}
 	plan, restored, jnl := prep.plan, prep.restored, prep.jnl
 	if jnl != nil {
-		defer jnl.close()
+		defer jnl.Close()
 	}
 
 	reg := telemetry.FromContext(ctx)
@@ -263,7 +267,7 @@ func Run(ctx context.Context, target propane.Target, spec propane.Spec, cfg Conf
 type prepState struct {
 	plan     *Plan
 	restored map[int]checkpoint
-	jnl      *journal
+	jnl      *durable.Log
 	// torn counts truncated trailing lines discarded on resume;
 	// invalidated and reused count the incremental diff (journaled
 	// shards dropped vs carried over).
@@ -275,7 +279,8 @@ type prepState struct {
 // validated (hash match, Resume set) and its completed shards are
 // loaded. Under Config.Incremental a hash mismatch triggers the
 // per-section diff (see reconcileIncremental) instead of failing.
-// With no journal configured it returns a bare plan.
+// Either way the checkpoint log is then opened for appending. With no
+// journal configured it returns a bare plan.
 func preparePlan(target propane.Target, spec propane.Spec, cfg Config) (*prepState, error) {
 	if cfg.Incremental && !cfg.Resume {
 		return nil, fmt.Errorf("campaign: Incremental requires Resume")
@@ -287,6 +292,21 @@ func preparePlan(target propane.Target, spec propane.Spec, cfg Config) (*prepSta
 		}
 		return &prepState{plan: plan, restored: map[int]checkpoint{}}, nil
 	}
+	st, err := reconcileJournal(target, spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Opening cuts a torn tail the scan above counted, so the next
+	// checkpoint starts on its own line.
+	if st.jnl, err = durable.Open(filepath.Join(cfg.Journal, checkpointsName)); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// reconcileJournal is preparePlan's journaled path up to opening the
+// checkpoint log.
+func reconcileJournal(target propane.Target, spec propane.Spec, cfg Config) (*prepState, error) {
 	m, exists, err := readManifest(cfg.Journal)
 	if err != nil {
 		return nil, err
@@ -296,11 +316,13 @@ func preparePlan(target propane.Target, spec propane.Spec, cfg Config) (*prepSta
 		if err != nil {
 			return nil, err
 		}
-		jnl, err := createJournal(cfg.Journal, plan)
-		if err != nil {
+		if err := os.MkdirAll(cfg.Journal, 0o755); err != nil {
 			return nil, err
 		}
-		return &prepState{plan: plan, restored: map[int]checkpoint{}, jnl: jnl}, nil
+		if err := writeManifest(cfg.Journal, newManifest(plan)); err != nil {
+			return nil, err
+		}
+		return &prepState{plan: plan, restored: map[int]checkpoint{}}, nil
 	}
 	if !cfg.Resume {
 		return nil, fmt.Errorf("%w: %s", ErrJournalExists, cfg.Journal)
@@ -322,26 +344,19 @@ func preparePlan(target propane.Target, spec propane.Spec, cfg Config) (*prepSta
 	// purges) stray lines of superseded plans: a kill between the
 	// manifest and checkpoint rewrites of an incremental upgrade leaves
 	// the new manifest over the old plan's lines.
-	restored, torn, foreign, err := readCheckpoints(cfg.Journal, plan.Hash, cfg.Incremental)
+	log, err := readCheckpoints(cfg.Journal, plan.Hash, cfg.Incremental)
 	if err != nil {
 		return nil, err
 	}
-	// A torn tail must be compacted away before reopening for append:
-	// the log ends mid-line, and appending after it would fuse the next
-	// checkpoint onto the torn fragment, losing both.
-	if foreign > 0 || torn > 0 {
-		if err := writeCheckpointLog(cfg.Journal, restored); err != nil {
+	if log.foreign > 0 {
+		if err := writeCheckpointLog(cfg.Journal, log.done); err != nil {
 			return nil, err
 		}
 	}
-	jnl, err := openJournal(cfg.Journal)
-	if err != nil {
-		return nil, err
-	}
-	st := &prepState{plan: plan, restored: restored, jnl: jnl, torn: torn}
+	st := &prepState{plan: plan, restored: log.done, torn: log.torn}
 	if cfg.Incremental {
-		st.invalidated = foreign
-		st.reused = len(restored)
+		st.invalidated = log.foreign
+		st.reused = len(log.done)
 	}
 	return st, nil
 }
@@ -351,7 +366,7 @@ type engine struct {
 	cfg    Config
 	plan   *Plan
 	target propane.Target
-	jnl    *journal
+	jnl    *durable.Log
 	reg    *telemetry.Registry
 
 	// fork is the golden-state fast path, nil when the target is not
@@ -424,7 +439,11 @@ func (e *engine) runShards(ctx context.Context, pending []int, records []propane
 			return err
 		}
 		if e.jnl != nil {
-			if err := e.jnl.append(cp); err != nil {
+			line, err := encodeCheckpointLine(cp)
+			if err == nil {
+				err = e.jnl.Append(line)
+			}
+			if err != nil {
 				return fmt.Errorf("campaign: checkpoint shard %d: %w", shard, err)
 			}
 		}

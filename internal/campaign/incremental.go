@@ -59,14 +59,9 @@ func prepareIncremental(target propane.Target, spec propane.Spec, cfg Config, m 
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := openJournal(cfg.Journal)
-	if err != nil {
-		return nil, err
-	}
 	return &prepState{
 		plan:        plan,
 		restored:    restored,
-		jnl:         jnl,
 		torn:        torn,
 		invalidated: invalidated,
 		reused:      reused,
@@ -79,15 +74,15 @@ func prepareIncremental(target propane.Target, spec propane.Spec, cfg Config, m 
 // under the new plan. The kept checkpoints are returned re-tagged with
 // the new plan hash, ready to restore.
 func reconcileIncremental(dir string, m manifest, plan *Plan) (restored map[int]checkpoint, torn, invalidated, reused int, err error) {
-	old, torn, foreign, err := readCheckpoints(dir, m.Plan, true)
+	log, err := readCheckpoints(dir, m.Plan, true)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	invalidated = foreign // stray lines of even older plans re-run too
+	invalidated = log.foreign // stray lines of even older plans re-run too
 
 	valid := validSections(m.Sections, plan.Sections)
-	restored = make(map[int]checkpoint, len(old))
-	for s, cp := range old {
+	restored = make(map[int]checkpoint, len(log.done))
+	for s, cp := range log.done {
 		if !shardReusable(s, m, plan, valid) {
 			invalidated++
 			continue
@@ -106,7 +101,7 @@ func reconcileIncremental(dir string, m manifest, plan *Plan) (restored map[int]
 	if err := writeCheckpointLog(dir, restored); err != nil {
 		return nil, 0, 0, 0, err
 	}
-	return restored, torn, invalidated, reused, nil
+	return restored, log.torn, invalidated, reused, nil
 }
 
 // validSections indexes, by test-case index, the journaled sections

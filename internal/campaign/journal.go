@@ -1,37 +1,35 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"sync"
 
+	"edem/internal/durable"
 	"edem/internal/propane"
 )
 
 // Journal layout: a directory holding one manifest and one append-only
-// checkpoint log.
+// checkpoint log, both persisted through internal/durable.
 //
 //	<dir>/manifest.json      content-addressed plan description
 //	<dir>/checkpoints.jsonl  one JSON line per completed shard
 //
-// The manifest is written once, atomically (tmp, fsync, rename,
-// directory fsync), before any shard executes. Checkpoint lines are appended and fsynced as shards
-// complete, in completion order — which varies with scheduling — so the
-// log is an unordered set keyed by shard index; resume sorts it back
-// into plan order. A line truncated by a kill mid-append fails to parse
-// and is discarded on load: the shard it described simply re-runs.
+// The manifest is written once, atomically, before any shard executes.
+// Checkpoint lines are appended and fsynced as shards complete, in
+// completion order — which varies with scheduling — so the log is an
+// unordered set keyed by shard index; resume sorts it back into plan
+// order. A line truncated by a kill mid-append is counted as torn and
+// cut off when the log is reopened: the shard it described re-runs.
 //
-// Sampled states are serialised as 16-digit hex IEEE-754 bit patterns,
-// not JSON numbers: corrupted runs legitimately sample NaN and ±Inf
-// (which encoding/json rejects) and bit patterns round-trip exactly,
-// which the resume bit-identity guarantee depends on.
+// Sampled states are serialised as hex IEEE-754 bit patterns
+// (durable.EncodeState: lowercase, not zero-padded, so 0 is "0"), not
+// JSON numbers: corrupted runs legitimately sample NaN and ±Inf (which
+// encoding/json rejects) and bit patterns round-trip exactly, which the
+// resume bit-identity guarantee depends on.
 const (
 	manifestName    = "manifest.json"
 	checkpointsName = "checkpoints.jsonl"
@@ -156,19 +154,12 @@ type recordJSON struct {
 }
 
 func encodeRecord(r propane.Record) recordJSON {
-	var state []string
-	if r.State != nil {
-		state = make([]string, len(r.State))
-		for i, v := range r.State {
-			state[i] = strconv.FormatUint(math.Float64bits(v), 16)
-		}
-	}
 	return recordJSON{
 		TC:       r.TestCase,
 		Var:      r.Var,
 		Bit:      r.Bit,
 		Time:     r.InjectionTime,
-		State:    state,
+		State:    durable.EncodeState(r.State),
 		Injected: r.Injected,
 		Sampled:  r.Sampled,
 		Failure:  r.Failure,
@@ -178,16 +169,9 @@ func encodeRecord(r propane.Record) recordJSON {
 }
 
 func decodeRecord(r recordJSON) (propane.Record, error) {
-	var state []float64
-	if r.State != nil {
-		state = make([]float64, len(r.State))
-		for i, s := range r.State {
-			bits, err := strconv.ParseUint(s, 16, 64)
-			if err != nil {
-				return propane.Record{}, fmt.Errorf("campaign: bad state bits %q: %w", s, err)
-			}
-			state[i] = math.Float64frombits(bits)
-		}
+	state, err := durable.DecodeState(r.State)
+	if err != nil {
+		return propane.Record{}, err
 	}
 	return propane.Record{
 		TestCase:      r.TC,
@@ -203,102 +187,13 @@ func decodeRecord(r recordJSON) (propane.Record, error) {
 	}, nil
 }
 
-// journal owns the open checkpoint log of one running campaign. Append
-// is safe for concurrent use by shard workers; everything else happens
-// before workers start or after they finish.
-type journal struct {
-	dir string
-
-	mu sync.Mutex
-	f  *os.File
-}
-
-// createJournal initialises a fresh journal directory: the manifest is
-// staged to a temp file and renamed into place so a kill during
-// creation leaves either no journal or a complete one, never a torn
-// manifest. The directory is fsynced once the checkpoint log exists, so
-// the journal's directory entries survive a crash as well as its bytes.
-func createJournal(dir string, p *Plan) (*journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := writeManifest(dir, newManifest(p)); err != nil {
-		return nil, err
-	}
-	j, err := openCheckpointLog(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := syncDir(dir); err != nil {
-		j.close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// writeManifest stages the manifest to a temp file and renames it into
-// place (atomic on POSIX rename semantics).
+// writeManifest durably replaces the manifest.
 func writeManifest(dir string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(dir, manifestName, append(data, '\n'))
-}
-
-// writeFileAtomic replaces dir/name with data durably: the bytes are
-// staged to a temp file and fsynced, renamed into place, and the
-// directory is fsynced so the rename itself survives a crash. A kill at
-// any point leaves either the old file or the new one.
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory, making the entries created or renamed in
-// it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// openJournal opens an existing journal for appending, after the
-// caller has validated its manifest.
-func openJournal(dir string) (*journal, error) {
-	return openCheckpointLog(dir)
-}
-
-func openCheckpointLog(dir string) (*journal, error) {
-	f, err := os.OpenFile(filepath.Join(dir, checkpointsName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journal{dir: dir, f: f}, nil
+	return durable.WriteFileAtomic(dir, manifestName, append(data, '\n'))
 }
 
 // encodeCheckpointLine renders one checkpoint as its canonical
@@ -312,37 +207,6 @@ func encodeCheckpointLine(cp checkpoint) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// append writes one checkpoint line and fsyncs it, so a completed
-// shard survives any subsequent kill.
-func (j *journal) append(cp checkpoint) error {
-	data, err := encodeCheckpointLine(cp)
-	if err != nil {
-		return err
-	}
-	return j.appendRaw(data)
-}
-
-// appendRaw writes one pre-encoded, pre-validated checkpoint line and
-// fsyncs it. The coordinator merge path uses it to persist worker lines
-// byte-for-byte as they arrived.
-func (j *journal) appendRaw(line []byte) error {
-	if len(line) == 0 || line[len(line)-1] != '\n' {
-		line = append(append([]byte(nil), line...), '\n')
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
 }
 
 // readManifest loads <dir>/manifest.json. The boolean reports whether
@@ -363,60 +227,59 @@ func readManifest(dir string) (manifest, bool, error) {
 	return m, true, nil
 }
 
-// readCheckpoints loads every decodable checkpoint of plan planHash
-// from the journal, keyed by shard index. Undecodable lines (the
-// torn tail of a killed append) are counted and skipped; duplicate
-// shards keep the first occurrence (shards are deterministic, so
-// duplicates are identical by construction). Lines recording a
-// different plan hash are an error by default — the journal was
-// cross-wired — unless dropForeign is set, in which case they are
-// counted and skipped: incremental resume legitimately leaves
-// superseded-plan lines behind when a kill lands between the manifest
-// and checkpoint rewrites of a journal upgrade.
-func readCheckpoints(dir, planHash string, dropForeign bool) (done map[int]checkpoint, torn, foreign int, err error) {
-	f, err := os.Open(filepath.Join(dir, checkpointsName))
-	if errors.Is(err, os.ErrNotExist) {
-		return map[int]checkpoint{}, 0, 0, nil
-	}
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-
-	done = make(map[int]checkpoint)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var cp checkpoint
-		if err := json.Unmarshal(line, &cp); err != nil {
-			torn++
-			continue
-		}
-		if cp.Plan != planHash {
-			if dropForeign {
-				foreign++
-				continue
-			}
-			return nil, 0, 0, fmt.Errorf("%w: checkpoint for plan %.12s in journal for plan %.12s",
-				ErrPlanMismatch, cp.Plan, planHash)
-		}
-		if _, ok := done[cp.Shard]; !ok {
-			done[cp.Shard] = cp
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	return done, torn, foreign, nil
+// checkpointLog is what one scan of a checkpoint log found.
+type checkpointLog struct {
+	// done holds every decodable checkpoint of the plan, keyed by shard;
+	// a duplicated shard keeps its first occurrence (shards are
+	// deterministic, so duplicates are identical by construction).
+	done map[int]checkpoint
+	// torn counts undecodable lines (the torn tail of a killed append);
+	// foreign counts dropped lines of other plans.
+	torn, foreign int
+	// canonical reports that line i holds shard i for every line, with
+	// nothing torn: the log is already in sealed form.
+	canonical bool
 }
 
-// writeCheckpointLog durably replaces the checkpoint log (see
-// writeFileAtomic) with exactly the given shards in ascending shard
-// order.
+// readCheckpoints scans the checkpoint log for plan planHash. Lines
+// recording a different plan hash are an error by default — the
+// journal was cross-wired — unless dropForeign is set, in which case
+// they are counted and skipped: incremental resume legitimately leaves
+// superseded-plan lines behind when a kill lands between the manifest
+// and checkpoint rewrites of a journal upgrade.
+func readCheckpoints(dir, planHash string, dropForeign bool) (checkpointLog, error) {
+	log := checkpointLog{done: map[int]checkpoint{}, canonical: true}
+	lines := 0
+	torn, err := durable.Scan(filepath.Join(dir, checkpointsName), func(cp checkpoint) error {
+		if cp.Plan != planHash {
+			if dropForeign {
+				log.foreign++
+				log.canonical = false
+				return nil
+			}
+			return fmt.Errorf("%w: checkpoint for plan %.12s in journal for plan %.12s",
+				ErrPlanMismatch, cp.Plan, planHash)
+		}
+		if cp.Shard != lines {
+			log.canonical = false
+		}
+		lines++
+		if _, ok := log.done[cp.Shard]; !ok {
+			log.done[cp.Shard] = cp
+		}
+		return nil
+	})
+	if err != nil {
+		return checkpointLog{}, err
+	}
+	log.torn = torn
+	log.canonical = log.canonical && torn == 0
+	return log, nil
+}
+
+// writeCheckpointLog durably replaces the checkpoint log
+// (durable.WriteFileAtomic) with exactly the given shards in ascending
+// shard order.
 func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 	shards := make([]int, 0, len(cps))
 	for s := range cps {
@@ -431,62 +294,26 @@ func writeCheckpointLog(dir string, cps map[int]checkpoint) error {
 		}
 		buf = append(buf, line...)
 	}
-	return writeFileAtomic(dir, checkpointsName, buf)
+	return durable.WriteFileAtomic(dir, checkpointsName, buf)
 }
 
 // sealJournal compacts a completed journal into its canonical form:
 // one checkpoint line per shard, in ascending shard order, duplicates
-// (work-stealing races) and torn tails dropped. Sealing is what makes
+// (work-stealing races) and torn lines dropped. Sealing is what makes
 // completed journals comparable byte-for-byte across execution paths —
 // a local run, a resumed run and a multi-worker fabric run of the same
 // plan all seal to identical bytes. A journal already in canonical
 // form is left untouched.
 func sealJournal(dir, planHash string, shards int) error {
-	cps, torn, _, err := readCheckpoints(dir, planHash, false)
+	log, err := readCheckpoints(dir, planHash, false)
 	if err != nil {
 		return err
 	}
-	if len(cps) != shards {
-		return fmt.Errorf("campaign: seal: journal has %d of %d shards", len(cps), shards)
+	if len(log.done) != shards {
+		return fmt.Errorf("campaign: seal: journal has %d of %d shards", len(log.done), shards)
 	}
-	if torn == 0 {
-		canonical, err := isCanonicalLog(dir, shards)
-		if err != nil {
-			return err
-		}
-		if canonical {
-			return nil
-		}
+	if log.canonical {
+		return nil
 	}
-	return writeCheckpointLog(dir, cps)
-}
-
-// isCanonicalLog reports whether the checkpoint log already holds
-// exactly one line per shard in ascending order (so sealing can skip
-// the rewrite — the common case for an uninterrupted local run).
-func isCanonicalLog(dir string, shards int) (bool, error) {
-	f, err := os.Open(filepath.Join(dir, checkpointsName))
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	next := 0
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var cp struct {
-			Shard int `json:"shard"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &cp); err != nil || cp.Shard != next {
-			return false, nil
-		}
-		next++
-	}
-	if err := sc.Err(); err != nil {
-		return false, err
-	}
-	return next == shards, nil
+	return writeCheckpointLog(dir, log.done)
 }

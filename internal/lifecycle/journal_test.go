@@ -6,28 +6,36 @@ import (
 	"path/filepath"
 	"testing"
 
+	"edem/internal/durable"
 	"edem/internal/telemetry"
 )
 
-func TestFeedbackJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "feedback.jsonl")
-	j, err := OpenJournal(path)
+// appendAll opens the journal at path, appends recs the way a Monitor
+// does, and closes it again.
+func appendAll(t *testing.T, path string, recs ...any) {
+	t.Helper()
+	log, err := durable.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, r := range recs {
+		if err := appendRecord(log, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFeedbackJournalRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "feedback.jsonl")
 	want := []FeedbackRecord{
 		{UnixMS: 1, Detector: "a", Generation: 1, Alarm: true, Outcome: OutcomeTrueAlarm, Source: SourceOperator},
 		{UnixMS: 2, Detector: "b", Alarm: false, Outcome: OutcomeBenign, Source: SourceGolden,
 			State: EncodeState([]float64{1.5, math.NaN(), math.Inf(-1)}), Note: "note"},
 	}
-	for _, r := range want {
-		if err := j.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, path, want[0], want[1])
 	got, torn, err := ReadFeedback(path)
 	if err != nil || torn != 0 {
 		t.Fatalf("read: torn=%d err=%v", torn, err)
@@ -53,17 +61,8 @@ func TestFeedbackJournalRoundTrip(t *testing.T) {
 // before it survives.
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "diffs.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		if err := j.Append(DiffRecord{Detector: "d", LiveGen: 1, CandGen: 2, Served: "live", Index: []int{i + 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+		appendAll(t, path, DiffRecord{Detector: "d", LiveGen: 1, CandGen: 2, Served: "live", Index: []int{i + 1}})
 	}
 	// Simulate the kill: append half a record with no newline.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -89,16 +88,7 @@ func TestJournalTornTail(t *testing.T) {
 	// Reopening repairs the torn tail, so the first record acknowledged
 	// after the restart starts on its own line and survives instead of
 	// being glued to the fragment.
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Append(DiffRecord{Detector: "e", LiveGen: 3, CandGen: 4, Served: "live"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, path, DiffRecord{Detector: "e", LiveGen: 3, CandGen: 4, Served: "live"})
 	recs2, torn2, err := ReadDiffs(path)
 	if err != nil {
 		t.Fatal(err)
@@ -117,16 +107,7 @@ func TestJournalReopenTornOnly(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"unix_ms":1,"detec`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(FeedbackRecord{UnixMS: 2, Detector: "a", Outcome: OutcomeBenign}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, path, FeedbackRecord{UnixMS: 2, Detector: "a", Outcome: OutcomeBenign})
 	recs, torn, err := ReadFeedback(path)
 	if err != nil {
 		t.Fatal(err)

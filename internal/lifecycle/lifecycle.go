@@ -9,8 +9,8 @@
 //
 //   - a feedback journal: operator-labelled or golden-run-confirmed
 //     alarm outcomes (true alarm, false alarm, missed failure) appended
-//     with the same fsynced, torn-tail-tolerant JSONL scheme as the
-//     campaign journal (internal/campaign), plus a verdict-diff journal
+//     to a durable.Log, the same fsynced, torn-tail-repairing JSONL log
+//     as the campaign journal (internal/campaign), plus a verdict-diff journal
 //     recording every sample on which a candidate bundle disagreed with
 //     the live one — the raw material of the next refinement run;
 //   - drift detection: per-detector alarm rates and per-feature
@@ -29,15 +29,14 @@
 //
 // Ownership and concurrency: a Monitor and a Tracker are safe for
 // unrestricted concurrent use (atomic windows, mutex-guarded journal
-// appends). A Journal serialises appends internally; Close it exactly
-// once after its last writer is done. Records returned by readers are
-// owned by the caller.
+// appends); Close a Monitor exactly once after its last caller is done.
+// Records returned by readers are owned by the caller.
 package lifecycle
 
 import (
 	"fmt"
-	"math"
-	"strconv"
+
+	"edem/internal/durable"
 )
 
 // Source tells where a feedback label came from.
@@ -87,8 +86,8 @@ func ParseOutcome(s string) (Outcome, error) {
 }
 
 // FeedbackRecord is one line of the feedback journal: a served verdict
-// plus its ground-truth label. Sampled state travels as 16-digit hex
-// IEEE-754 bit patterns (EncodeState), the campaign journal's exact
+// plus its ground-truth label. Sampled state travels as hex IEEE-754
+// bit patterns (EncodeState), the campaign journal's exact
 // NaN/±Inf-safe transport.
 type FeedbackRecord struct {
 	// UnixMS is the wall-clock label time in milliseconds (operational
@@ -134,32 +133,11 @@ type DiffRecord struct {
 	State [][]string `json:"state,omitempty"`
 }
 
-// EncodeState renders a state vector as 16-digit hex IEEE-754 bit
-// patterns — the journal transport that round-trips NaN and ±Inf
-// exactly (encoding/json rejects them as numbers).
-func EncodeState(vals []float64) []string {
-	if vals == nil {
-		return nil
-	}
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = strconv.FormatUint(math.Float64bits(v), 16)
-	}
-	return out
-}
+// EncodeState renders a state vector as hex IEEE-754 bit patterns
+// (durable.EncodeState: lowercase, not zero-padded) — the journal
+// transport that round-trips NaN and ±Inf exactly (encoding/json
+// rejects them as numbers).
+func EncodeState(vals []float64) []string { return durable.EncodeState(vals) }
 
 // DecodeState parses the EncodeState transport back into float64s.
-func DecodeState(hex []string) ([]float64, error) {
-	if hex == nil {
-		return nil, nil
-	}
-	out := make([]float64, len(hex))
-	for i, s := range hex {
-		bits, err := strconv.ParseUint(s, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("lifecycle: bad state bits %q: %w", s, err)
-		}
-		out[i] = math.Float64frombits(bits)
-	}
-	return out, nil
-}
+func DecodeState(hex []string) ([]float64, error) { return durable.DecodeState(hex) }

@@ -2,11 +2,13 @@ package lifecycle
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"edem/internal/durable"
 	"edem/internal/telemetry"
 )
 
@@ -82,20 +84,20 @@ func (w WindowStats) AlarmRegress() float64 {
 // the admin surface calls Status, Baseline and the window resets.
 type Monitor struct {
 	cfg      MonitorConfig
-	feedback *Journal
+	feedback *durable.Log
 	diffs    *asyncJournal
 	tracker  *Tracker
 
-	reqs        atomic.Int64
-	samples     atomic.Int64
-	disagrees   atomic.Int64
-	liveAlarms  atomic.Int64
-	candAlarms  atomic.Int64
-	canaryReqs  atomic.Int64
-	fbCount     atomic.Int64
-	rolled      atomic.Bool // latched per candidate window; reset with it
-	lastRollMu  sync.Mutex
-	lastRoll    string
+	reqs       atomic.Int64
+	samples    atomic.Int64
+	disagrees  atomic.Int64
+	liveAlarms atomic.Int64
+	candAlarms atomic.Int64
+	canaryReqs atomic.Int64
+	fbCount    atomic.Int64
+	rolled     atomic.Bool // latched per candidate window; reset with it
+	lastRollMu sync.Mutex
+	lastRoll   string
 
 	mShadowEvals *telemetry.Counter
 	mDisagree    *telemetry.Counter
@@ -122,11 +124,14 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default()
 	}
-	fb, err := OpenJournal(filepath.Join(cfg.Dir, FeedbackName))
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	fb, err := durable.Open(filepath.Join(cfg.Dir, FeedbackName))
 	if err != nil {
 		return nil, err
 	}
-	dj, err := OpenJournal(filepath.Join(cfg.Dir, DiffsName))
+	dj, err := durable.Open(filepath.Join(cfg.Dir, DiffsName))
 	if err != nil {
 		fb.Close()
 		return nil, err
@@ -189,7 +194,7 @@ func (m *Monitor) RecordFeedback(rec FeedbackRecord) error {
 	if rec.UnixMS == 0 {
 		rec.UnixMS = time.Now().UnixMilli()
 	}
-	if err := m.feedback.Append(rec); err != nil {
+	if err := appendRecord(m.feedback, rec); err != nil {
 		return err
 	}
 	m.fbCount.Add(1)

@@ -32,11 +32,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
+	"edem/internal/durable"
 	"edem/internal/predicate"
 	"edem/internal/propane"
 )
@@ -191,15 +194,14 @@ func (b *Bundle) Write(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-// WriteFile writes the bundle to path.
+// WriteFile validates and encodes the bundle in memory, then replaces
+// path atomically (durable.WriteFileAtomic): an invalid bundle leaves
+// an existing file untouched, and a crash mid-write leaves the old
+// bundle or the new one, never a torn file.
 func (b *Bundle) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := b.Write(&buf); err != nil {
 		return err
 	}
-	if err := b.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return durable.WriteFileAtomic(filepath.Dir(path), filepath.Base(path), buf.Bytes())
 }

@@ -67,3 +67,24 @@ func TestBundleValidate(t *testing.T) {
 		t.Errorf("valid bundle rejected: %v", err)
 	}
 }
+
+// TestBundleWriteFileKeepsOldOnInvalid: writing an invalid bundle over
+// a good one fails and leaves the good one in place.
+func TestBundleWriteFileKeepsOldOnInvalid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bundle.json")
+	if err := testBundle("MG-A1").WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	bad := testBundle("MG-A1")
+	bad.Detectors = nil
+	if err := bad.WriteFile(path); err == nil {
+		t.Fatal("invalid bundle written")
+	}
+	out, err := LoadBundle(path)
+	if err != nil {
+		t.Fatalf("existing bundle lost: %v", err)
+	}
+	if len(out.Detectors) != 1 || out.Detectors[0].ID != "MG-A1" {
+		t.Fatalf("existing bundle changed: %+v", out.Detectors)
+	}
+}

@@ -5,16 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
+
+	"edem/internal/durable"
 )
 
 // Sample is one sampled state vector on the wire. Finite values travel
 // as ordinary JSON numbers; NaN and ±Inf — which corrupted runs
-// legitimately sample, and which encoding/json rejects — travel as
-// 16-digit hex IEEE-754 bit patterns, the same transport the campaign
-// journal uses (internal/campaign). Decoding accepts either form for
-// every element; encoding uses hex only where JSON numbers cannot
-// round-trip the value exactly.
+// legitimately sample, and which encoding/json rejects — travel as hex
+// IEEE-754 bit patterns (durable.FormatBits), the same transport the
+// campaign journal uses. Decoding accepts either form for every
+// element; encoding uses hex only where JSON numbers cannot round-trip
+// the value exactly.
 type Sample []float64
 
 // MarshalJSON encodes the sample, escaping non-finite values as hex
@@ -28,7 +29,7 @@ func (s Sample) MarshalJSON() ([]byte, error) {
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			buf.WriteByte('"')
-			buf.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
+			buf.WriteString(durable.FormatBits(v))
 			buf.WriteByte('"')
 			continue
 		}
@@ -56,11 +57,11 @@ func (s *Sample) UnmarshalJSON(data []byte) error {
 			if err := json.Unmarshal(r, &hex); err != nil {
 				return err
 			}
-			bits, err := strconv.ParseUint(hex, 16, 64)
+			v, err := durable.ParseBits(hex)
 			if err != nil {
-				return fmt.Errorf("serve: bad state bits %q: %w", hex, err)
+				return fmt.Errorf("serve: %w", err)
 			}
-			out[i] = math.Float64frombits(bits)
+			out[i] = v
 			continue
 		}
 		var v float64
