@@ -270,20 +270,20 @@ func BenchmarkAblation_SMOTEvsReplacement(b *testing.B) {
 	d := benchDataset(b, "FG-B1")
 	transforms := []struct {
 		name string
-		tf   eval.TrainTransform
+		tf   eval.ViewTransform
 	}{
-		{"smote-500-k5", func(t *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.SMOTE(t, eval.PositiveClass, 500, 5, rng)
+		{"smote-500-k5", func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
+			return sampling.SMOTEView(st, eval.PositiveClass, 500, 5, rng)
 		}},
-		{"replacement-500", func(t *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.Oversample(t, eval.PositiveClass, 500, rng)
+		{"replacement-500", func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
+			return sampling.OversampleView(st, eval.PositiveClass, 500, rng)
 		}},
 	}
 	for _, tt := range transforms {
 		tt := tt
 		b.Run(tt.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cv, err := eval.CrossValidate(context.Background(), tree.Learner{}, d, eval.CVConfig{Folds: 10, Seed: 1, Transform: tt.tf})
+				cv, err := eval.CrossValidate(context.Background(), tree.Learner{}, d, eval.CVConfig{Folds: 10, Seed: 1, ViewTransform: tt.tf})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -339,10 +339,10 @@ func BenchmarkMicro_C45Induction(b *testing.B) {
 }
 
 func BenchmarkMicro_SMOTE(b *testing.B) {
-	d := benchDataset(b, "FG-B1")
+	st := dataset.NewStore(benchDataset(b, "FG-B1"), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sampling.SMOTE(d, eval.PositiveClass, 300, 5, stats.NewRNG(uint64(i))); err != nil {
+		if _, err := sampling.SMOTEView(st, eval.PositiveClass, 300, 5, stats.NewRNG(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

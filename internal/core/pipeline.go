@@ -61,47 +61,57 @@ func (c SamplingConfig) KLabel() string {
 	return "-"
 }
 
-// Transform returns the cross-validation training transform for the
-// configuration, or nil for NoSampling.
-func (c SamplingConfig) Transform() eval.TrainTransform {
+// ViewTransform returns the cross-validation training transform for
+// the configuration, or nil for NoSampling.
+func (c SamplingConfig) ViewTransform() eval.ViewTransform {
 	switch c.Kind {
-	case Undersampling:
-		return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.Undersample(d, 0, c.Percent, rng)
-		}
-	case Oversampling:
-		return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.Oversample(d, eval.PositiveClass, c.Percent, rng)
-		}
-	case Smote:
-		return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-			return sampling.SMOTE(d, eval.PositiveClass, c.Percent, c.K, rng)
+	case Undersampling, Oversampling, Smote:
+		return func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
+			return sampledView(st, nil, c, rng)
 		}
 	default:
 		return nil
 	}
 }
 
-// ViewTransform returns the columnar training transform for the
-// configuration, or nil for NoSampling. It consumes the same RNG
-// stream as Transform, so a run may mix the two paths and stay
-// bit-identical.
-func (c SamplingConfig) ViewTransform() eval.ViewTransform {
+// Transform is ViewTransform for callers holding a dataset: it applies
+// the treatment to a store of all of d and materialises the view. It is
+// nil for NoSampling.
+func (c SamplingConfig) Transform() func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
+	vtf := c.ViewTransform()
+	if vtf == nil {
+		return nil
+	}
+	return func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
+		v, err := vtf(dataset.NewStore(d, nil), rng)
+		if err != nil {
+			return nil, err
+		}
+		return v.Materialize(), nil
+	}
+}
+
+// sampledView is the one place a configuration becomes a sampling call:
+// it returns the training view of st the configuration's treatment
+// draws from rng, the identity view for NoSampling. A non-nil ni serves
+// oversampling and SMOTE from its cached minority rows and neighbour
+// lists; it must index st.
+func sampledView(st *dataset.Store, ni *sampling.NeighborIndex, c SamplingConfig, rng *stats.RNG) (*dataset.View, error) {
 	switch c.Kind {
 	case Undersampling:
-		return func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.UndersampleView(st, 0, c.Percent, rng)
-		}
+		return sampling.UndersampleView(st, 0, c.Percent, rng)
 	case Oversampling:
-		return func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.OversampleView(st, eval.PositiveClass, c.Percent, rng)
+		if ni != nil {
+			return ni.OversampleView(c.Percent, rng)
 		}
+		return sampling.OversampleView(st, eval.PositiveClass, c.Percent, rng)
 	case Smote:
-		return func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
-			return sampling.SMOTEView(st, eval.PositiveClass, c.Percent, c.K, rng)
+		if ni != nil {
+			return ni.SMOTEView(c.Percent, c.K, rng)
 		}
+		return sampling.SMOTEView(st, eval.PositiveClass, c.Percent, c.K, rng)
 	default:
-		return nil
+		return st.IdentityView(), nil
 	}
 }
 
@@ -206,14 +216,11 @@ func RunMethodologyOn(ctx context.Context, id string, d *dataset.Dataset, failur
 		return nil, err
 	}
 
-	final := d
-	if tf := refined.Best.Transform(); tf != nil {
-		final, err = tf(d, stats.NewRNG(opts.Seed^0xfeed))
-		if err != nil {
-			return nil, fmt.Errorf("core: final transform %s: %w", id, err)
-		}
+	final, err := sampledView(dataset.NewStore(d, nil), nil, refined.Best, stats.NewRNG(opts.Seed^0xfeed))
+	if err != nil {
+		return nil, fmt.Errorf("core: final transform %s: %w", id, err)
 	}
-	t, err := DefaultLearner().FitTree(final)
+	t, err := DefaultLearner().FitTreeView(final)
 	if err != nil {
 		return nil, fmt.Errorf("core: final fit %s: %w", id, err)
 	}

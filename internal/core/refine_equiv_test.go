@@ -2,113 +2,37 @@ package core
 
 import (
 	"context"
-	"reflect"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"edem/internal/dataset"
-	"edem/internal/mining/eval"
-	"edem/internal/mining/sampling"
 	"edem/internal/parallel"
-	"edem/internal/stats"
 )
 
-// refineReference is the pre-columnar-store refinement loop: per-fold
-// deep-copied training subsets, dataset-returning sampling transforms,
-// FitTree on materialised instances. It is kept here as the oracle the
-// view-based Refine must match bit for bit — same cell RNG derivation,
-// same fold construction, same serial aggregation.
-func refineReference(d *dataset.Dataset, grid []SamplingConfig, opts Options) (*RefineResult, error) {
-	full := append([]SamplingConfig{{Kind: NoSampling}}, grid...)
-	rng := stats.NewRNG(opts.Seed)
-	folds, err := dataset.StratifiedKFold(d, opts.folds(), rng)
-	if err != nil {
-		return nil, err
-	}
-	maxK := 0
-	for _, cfg := range full {
-		if cfg.Kind == Smote && cfg.K > maxK {
-			maxK = cfg.K
+// refineDigest is the SHA-256 over the Float64bits of every evaluated
+// configuration's MeanAUC, MeanTPR, MeanFPR, MeanComp and VarAUC, in
+// grid order.
+func refineDigest(res *RefineResult) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, e := range res.Evaluated {
+		for _, v := range []float64{e.CV.MeanAUC, e.CV.MeanTPR, e.CV.MeanFPR, e.CV.MeanComp, e.CV.VarAUC} {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
 		}
 	}
-
-	nCfg := len(full)
-	cells := make([]refineCell, nCfg*len(folds))
-	for fi, fold := range folds {
-		train := d.Subset(fold.Train)
-		var ni *sampling.NeighborIndex
-		if maxK > 0 {
-			if ni, err = sampling.BuildNeighborIndex(train, eval.PositiveClass, maxK); err != nil {
-				return nil, err
-			}
-		}
-		for ci, cfg := range full {
-			cellRNG := stats.NewRNG(opts.Seed ^ (uint64(fi+1) << 20) ^ uint64(ci+1))
-			td := train
-			switch cfg.Kind {
-			case Undersampling:
-				td, err = sampling.Undersample(train, 0, cfg.Percent, cellRNG)
-			case Oversampling:
-				if maxK > 0 {
-					td, err = ni.Oversample(cfg.Percent, cellRNG)
-				} else {
-					td, err = sampling.Oversample(train, eval.PositiveClass, cfg.Percent, cellRNG)
-				}
-			case Smote:
-				td, err = ni.SMOTE(cfg.Percent, cfg.K, cellRNG)
-			}
-			if err != nil {
-				return nil, err
-			}
-			model, err := DefaultLearner().FitTree(td)
-			if err != nil {
-				return nil, err
-			}
-			cm := eval.NewConfusionMatrix(d.ClassValues)
-			for _, ti := range fold.Test {
-				in := &d.Instances[ti]
-				if err := cm.Record(in.Class, model.Classify(in.Values), in.Weight); err != nil {
-					return nil, err
-				}
-			}
-			cells[fi*nCfg+ci] = refineCell{counts: cm.Binary(eval.PositiveClass), size: model.Size()}
-		}
-	}
-
-	res := &RefineResult{}
-	for ci, cfg := range full {
-		cv := &eval.CVResult{}
-		var aucW, tprW, fprW, compW stats.Welford
-		for fi := range folds {
-			cell := &cells[fi*nCfg+ci]
-			aucW.Add(cell.counts.AUC())
-			tprW.Add(cell.counts.TPR())
-			fprW.Add(cell.counts.FPR())
-			compW.Add(float64(cell.size))
-		}
-		cv.MeanAUC = aucW.Mean()
-		cv.MeanTPR = tprW.Mean()
-		cv.MeanFPR = fprW.Mean()
-		cv.MeanComp = compW.Mean()
-		cv.VarAUC = aucW.Variance()
-		res.Evaluated = append(res.Evaluated, struct {
-			Config SamplingConfig
-			CV     *eval.CVResult
-		}{cfg, cv})
-		if res.BestCV == nil ||
-			cv.MeanAUC > res.BestCV.MeanAUC ||
-			(cv.MeanAUC == res.BestCV.MeanAUC && cv.MeanComp < res.BestCV.MeanComp) {
-			res.Best = cfg
-			res.BestCV = cv
-		}
-	}
-	return res, nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestRefineMatchesInstancePath pins the tentpole invariant: the
-// store/view-based grid produces byte-identical results to the
-// instance-based path, at every worker count. Every grid shape is
-// exercised (no-sampling, undersample, oversample, SMOTE at two
-// percent/K points, including percent<100 planning).
+// TestRefineMatchesInstancePath pins Refine's results to the digests
+// the instance-based refinement loop (deep-copied fold subsets,
+// dataset-returning sampling transforms, FitTree) produced on the same
+// data, at every worker count. Every grid shape is exercised
+// (no-sampling, undersample, oversample, SMOTE at two percent/K points,
+// including percent<100 planning).
 func TestRefineMatchesInstancePath(t *testing.T) {
 	parallel.SetBudget(8)
 	defer parallel.SetBudget(0)
@@ -121,24 +45,25 @@ func TestRefineMatchesInstancePath(t *testing.T) {
 		{Kind: Smote, Percent: 60, K: 3},
 		{Kind: Smote, Percent: 400, K: 5},
 	}
-	for _, seed := range []uint64{3, 17} {
-		d := refineDataset(250, seed)
+	for _, tc := range []struct {
+		seed uint64
+		want string
+	}{
+		{3, "6c63f1aced04fed8ed51d111e793818809edc8148526b6f5994f858900943b3e"},
+		{17, "c4191081d0b45064081636891fccc12346abce4942c4bba503d9ed5172acbd35"},
+	} {
+		d := refineDataset(250, tc.seed)
 		opts := DefaultOptions()
-		opts.Seed = seed
+		opts.Seed = tc.seed
 		opts.Folds = 5
-
-		want, err := refineReference(d, grid, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 2, 8} {
 			opts.Workers = workers
 			got, err := Refine(context.Background(), d, grid, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("seed %d workers %d: view-based Refine diverges from instance path", seed, workers)
+			if dg := refineDigest(got); dg != tc.want {
+				t.Errorf("seed %d workers %d: digest %s, want %s", tc.seed, workers, dg, tc.want)
 			}
 		}
 	}
@@ -146,9 +71,10 @@ func TestRefineMatchesInstancePath(t *testing.T) {
 
 // TestRefineMatchesInstancePathMissing covers the fallback route: a
 // dataset with missing values disables the store's merge orders, so
-// every cell materialises its view and lands in the general builder —
-// still byte-identical to the instance path.
+// every cell materialises its view and lands in the general builder.
+// The digest is the instance path's.
 func TestRefineMatchesInstancePathMissing(t *testing.T) {
+	const want = "4f1235e414edf9473bd79936f720a231031f915ec3da75988d98d3e2510bc7af"
 	grid := []SamplingConfig{
 		{Kind: Undersampling, Percent: 50},
 		{Kind: Oversampling, Percent: 200},
@@ -162,19 +88,52 @@ func TestRefineMatchesInstancePathMissing(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Seed = 29
 	opts.Folds = 5
-
-	want, err := refineReference(d, grid, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 8} {
 		opts.Workers = workers
 		got, err := Refine(context.Background(), d, grid, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers %d: missing-value fallback diverges from instance path", workers)
+		if dg := refineDigest(got); dg != want {
+			t.Errorf("workers %d: digest %s, want %s", workers, dg, want)
+		}
+	}
+}
+
+// TestFinalFitPredicatePins runs Steps 3-4 and the final fit with grids
+// on which each treatment wins, and pins the SHA-256 of the deployed
+// predicate's text to what the instance-path final fit produced. On
+// each of these datasets the treatment changes the predicate, so a
+// final fit that skipped or altered it would miss the pin.
+func TestFinalFitPredicatePins(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  SamplingConfig
+		n    int
+		seed uint64
+		want string
+	}{
+		{SamplingConfig{Kind: Undersampling, Percent: 35}, 250, 2, "04bbc753c5ed16a5472b644a5ba2702bff76d5369d43dac01abd114862952c28"},
+		{SamplingConfig{Kind: Oversampling, Percent: 500}, 150, 33, "bbc7d4a414dc00323cbb966feb9d5b28a345dd71070ca060643555276211171d"},
+		{SamplingConfig{Kind: Smote, Percent: 300, K: 7}, 150, 5, "41012c6d8fb3ef4d8c53d0d349032ab83abd7892d722ad254bf7d4a217a6d8bd"},
+	} {
+		d := refineDataset(tc.n, tc.seed)
+		opts := DefaultOptions()
+		opts.Seed = tc.seed
+		opts.Folds = 5
+		rep, err := RunMethodologyOn(context.Background(), "refine", d, 0, []SamplingConfig{tc.cfg}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Refined.Best.Kind != tc.cfg.Kind {
+			t.Fatalf("%s: best is %+v, want %s to win", tc.cfg.Label(), rep.Refined.Best, tc.cfg.Label())
+		}
+		text, err := rep.Predicate.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(text)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s K=%d: predicate sha256 %s, want %s", tc.cfg.Label(), tc.cfg.K, got, tc.want)
 		}
 	}
 }

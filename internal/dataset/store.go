@@ -128,27 +128,6 @@ func (s *Store) Weights() []float64 { return s.weights }
 // node anyway).
 func (s *Store) Sorted() [][]int32 { return s.sorted }
 
-// Dataset materialises the store back into an instance-major dataset,
-// in store row order. Used by the missing-value fallback path and by
-// equivalence tests; the hot paths never call it.
-func (s *Store) Dataset() *Dataset {
-	out := New(s.name, s.attrs, s.classValues)
-	out.Instances = make([]Instance, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		vs := make([]float64, len(s.attrs))
-		for a := range s.attrs {
-			vs[a] = s.cols[a][i]
-		}
-		out.Instances = append(out.Instances, Instance{Values: vs, Class: s.classes[i], Weight: s.weights[i]})
-	}
-	if s.hasMissing {
-		out.missing = missingYes
-	} else {
-		out.missing = missingNo
-	}
-	return out
-}
-
 // Synthetic is one generated training row (a SMOTE interpolation) to be
 // appended to a store's base rows through ExtendView.
 type Synthetic struct {
@@ -418,9 +397,9 @@ func (v *View) Sorted() [][]int32 { return v.sorted }
 func (v *View) HasMissing() bool { return v.sorted == nil }
 
 // Materialize builds the instance-major dataset the view describes, in
-// the view's instance order — byte-identical to what the corresponding
-// dataset-based sampling transform returns. Cold path: used by the
-// missing-value fallback and by equivalence tests.
+// the view's instance order. Cold path: used by the missing-value
+// fallback of tree induction, by learners that cannot fit views, and by
+// callers that want a sampled dataset rather than a view.
 func (v *View) Materialize() *Dataset {
 	out := New(v.store.name, v.store.attrs, v.store.classValues)
 	out.Instances = make([]Instance, 0, len(v.rows))

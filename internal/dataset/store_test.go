@@ -73,7 +73,7 @@ func TestStoreMatchesSubset(t *testing.T) {
 	rows := []int{5, 1, 12, 40, 33, 7}
 	st := NewStore(d, rows)
 	sub := d.Subset(rows)
-	md := st.Dataset()
+	md := st.IdentityView().Materialize()
 	if md.Len() != sub.Len() {
 		t.Fatalf("store holds %d rows, want %d", md.Len(), sub.Len())
 	}

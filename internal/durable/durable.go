@@ -44,8 +44,10 @@ const maxLine = 1 << 28
 
 // Log is one open append-only JSONL file.
 type Log struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	f    *os.File
+	size int64 // bytes of acknowledged lines: where the next Append starts
+	err  error // sticky: a failed append that could not be undone
 }
 
 // Open opens the log at path for appending, creating it (and fsyncing
@@ -70,19 +72,20 @@ func Open(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := repairTail(f); err != nil {
+	size, err := repairTail(f)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f}, nil
+	return &Log{f: f, size: size}, nil
 }
 
 // repairTail truncates f to the byte after its last newline (to empty
-// when it holds none) and fsyncs the cut.
-func repairTail(f *os.File) error {
+// when it holds none), fsyncs the cut and returns the kept size.
+func repairTail(f *os.File) (int64, error) {
 	info, err := f.Stat()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	size := info.Size()
 	keep := int64(0)
@@ -90,7 +93,7 @@ func repairTail(f *os.File) error {
 	for end := size; end > 0; {
 		n := min(end, int64(len(buf)))
 		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
-			return err
+			return 0, err
 		}
 		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
 			keep = end - n + int64(i) + 1
@@ -99,28 +102,46 @@ func repairTail(f *os.File) error {
 		end -= n
 	}
 	if keep == size {
-		return nil
+		return keep, nil
 	}
 	if err := f.Truncate(keep); err != nil {
-		return err
+		return 0, err
 	}
-	return f.Sync()
+	return keep, f.Sync()
 }
 
 // Append writes line as one newline-terminated log line (adding the
 // newline unless line already ends with one) and fsyncs it, so the line
 // survives any crash after Append returns. line must hold no other
 // newline.
+//
+// A failed write or fsync may leave part of the line in the file. Append
+// cuts the file back to its size before the call, so the next Append
+// starts a fresh line instead of gluing onto the fragment. If that cut
+// fails too, the log is unusable: this and every later Append return
+// the error.
 func (l *Log) Append(line []byte) error {
 	if len(line) == 0 || line[len(line)-1] != '\n' {
 		line = append(line[:len(line):len(line)], '\n')
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(line); err != nil {
+	if l.err != nil {
+		return l.err
+	}
+	_, err := l.f.Write(line)
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		if terr := l.f.Truncate(l.size); terr != nil {
+			l.err = fmt.Errorf("durable: append failed (%v) and its fragment could not be cut: %w", err, terr)
+			return l.err
+		}
 		return err
 	}
-	return l.f.Sync()
+	l.size += int64(len(line))
+	return nil
 }
 
 // Close closes the log file.

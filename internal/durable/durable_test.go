@@ -260,3 +260,36 @@ func FuzzLogRecover(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendErrorSticky: when the fragment of a failed append cannot be
+// cut, the log refuses every later append rather than glue it onto the
+// fragment.
+func TestAppendErrorSticky(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRec(t, l, rec{N: 1, S: "kept"})
+	// A read-only handle fails both the write and the truncate.
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	good := l.f
+	l.f = ro
+	if err := l.Append([]byte(`{"n":2}`)); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	l.f = good
+	if err := l.Append([]byte(`{"n":3}`)); err == nil {
+		t.Fatal("append after an uncut fragment succeeded")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, torn := readAll(t, path); torn != 0 || !reflect.DeepEqual(got, []rec{{N: 1, S: "kept"}}) {
+		t.Fatalf("got %v (torn %d)", got, torn)
+	}
+}

@@ -12,23 +12,17 @@ import (
 	"edem/internal/telemetry"
 )
 
-// TrainTransform rewrites a training partition before learning — the
-// hook through which class-imbalance handling (undersampling,
-// oversampling, SMOTE) enters cross-validation. Transforms are applied
-// to training folds only; test folds always keep the natural
-// distribution, as in the paper's evaluation.
+// ViewTransform derives a training view from a fold's columnar store
+// (DESIGN.md §10) before learning — the hook through which
+// class-imbalance handling (undersampling, oversampling, SMOTE) enters
+// cross-validation. Transforms are applied to training folds only; test
+// folds always keep the natural distribution, as in the paper's
+// evaluation.
 //
 // Folds are evaluated concurrently, so a transform must be safe for
 // concurrent calls. Each fold receives its own RNG, forked from the
 // seed in fold order, so transform randomness is identical at every
 // worker count.
-type TrainTransform func(d *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error)
-
-// ViewTransform is the columnar analogue of TrainTransform: it derives
-// a training view from a fold's columnar store (DESIGN.md §10) instead
-// of rewriting a cloned dataset. A transform must be safe for
-// concurrent calls and must consume the same RNG stream as its
-// instance-based counterpart so either path yields identical folds.
 type ViewTransform func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error)
 
 // CVConfig configures a cross-validation run.
@@ -37,13 +31,9 @@ type CVConfig struct {
 	Folds int
 	// Seed drives fold assignment and any transform randomness.
 	Seed uint64
-	// Transform, if non-nil, preprocesses each training partition.
-	Transform TrainTransform
-	// ViewTransform, if non-nil, preprocesses each training partition on
-	// the columnar path. It is used instead of Transform when the
-	// learner implements mining.ViewFitter; set both when configuring a
-	// sampling treatment so cross-validation can pick the fastest path
-	// the learner supports.
+	// ViewTransform, if non-nil, preprocesses each training partition.
+	// A mining.ViewFitter trains on the view itself; any other learner
+	// on the view's materialisation.
 	ViewTransform ViewTransform
 	// PositiveClass is the concept class index (default 1).
 	PositiveClass int
@@ -103,18 +93,13 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, cf
 	// the loop was serial — this is what makes results independent of
 	// the worker count.
 	var rngs []*stats.RNG
-	if cfg.Transform != nil || cfg.ViewTransform != nil {
+	if cfg.ViewTransform != nil {
 		rngs = make([]*stats.RNG, len(folds))
 		for fi := range rngs {
 			rngs[fi] = rng.Fork()
 		}
 	}
-
-	// The columnar path applies when the learner trains from views and
-	// any configured transform has a view form; otherwise folds
-	// materialise shared-Values training subsets as before.
 	viewFitter, _ := l.(mining.ViewFitter)
-	useViews := viewFitter != nil && (cfg.Transform == nil || cfg.ViewTransform != nil)
 
 	// Folds are evaluated in parallel into indexed slots; all metric
 	// accumulation stays serial (below) so floating-point results match
@@ -133,25 +118,21 @@ func CrossValidate(ctx context.Context, l mining.Learner, d *dataset.Dataset, cf
 		fold := folds[fi]
 		var model mining.Classifier
 		var err error
-		if useViews {
-			st := dataset.NewStore(d, fold.Train)
-			v := st.IdentityView()
-			if cfg.ViewTransform != nil {
-				if v, err = cfg.ViewTransform(st, rngs[fi]); err != nil {
-					return fmt.Errorf("eval: fold %d transform: %w", fi, err)
-				}
+		switch {
+		case cfg.ViewTransform != nil:
+			v, terr := cfg.ViewTransform(dataset.NewStore(d, fold.Train), rngs[fi])
+			if terr != nil {
+				return fmt.Errorf("eval: fold %d transform: %w", fi, terr)
 			}
-			model, err = viewFitter.FitView(v)
-		} else {
-			train := d.SubsetShared(fold.Train)
-			if cfg.Transform != nil {
-				var terr error
-				train, terr = cfg.Transform(train, rngs[fi])
-				if terr != nil {
-					return fmt.Errorf("eval: fold %d transform: %w", fi, terr)
-				}
+			if viewFitter != nil {
+				model, err = viewFitter.FitView(v)
+			} else {
+				model, err = l.Fit(v.Materialize())
 			}
-			model, err = l.Fit(train)
+		case viewFitter != nil:
+			model, err = viewFitter.FitView(dataset.NewStore(d, fold.Train).IdentityView())
+		default:
+			model, err = l.Fit(d.SubsetShared(fold.Train))
 		}
 		if err != nil {
 			return fmt.Errorf("eval: fold %d fit: %w", fi, err)

@@ -10,6 +10,7 @@ import (
 
 	"edem/internal/dataset"
 	"edem/internal/mining"
+	"edem/internal/mining/tree"
 	"edem/internal/parallel"
 	"edem/internal/stats"
 )
@@ -111,40 +112,59 @@ func TestCrossValidateDefaults(t *testing.T) {
 	}
 }
 
+// Transforms apply to training folds only, and a learner that cannot
+// fit views trains on the transformed view's materialisation.
 func TestCrossValidateTransformAppliedToTrainOnly(t *testing.T) {
 	d := cvDataset(100, 4)
-	var mu sync.Mutex
-	var trainSizes []int
-	tf := func(train *dataset.Dataset, _ *stats.RNG) (*dataset.Dataset, error) {
-		mu.Lock()
-		trainSizes = append(trainSizes, train.Len())
-		mu.Unlock()
+	var calls atomic.Int64
+	var doubled, fitted sync.Map // training-set sizes
+	tf := func(st *dataset.Store, _ *stats.RNG) (*dataset.View, error) {
+		calls.Add(1)
+		doubled.Store(2*st.Len(), true)
 		// Duplicate the training set; the test partition must stay at
 		// its natural size, keeping the pooled total invariant.
-		out := train.Clone()
-		for i := range train.Instances {
-			out.Instances = append(out.Instances, train.Instances[i].Clone())
+		rows := make([]int32, st.Len())
+		for i := range rows {
+			rows[i] = int32(i)
 		}
-		return out, nil
+		return st.RepeatView(rows), nil
 	}
-	res, err := CrossValidate(context.Background(), stubLearner{}, d, CVConfig{Folds: 10, Seed: 1, Transform: tf})
+	res, err := CrossValidate(context.Background(), sizeLearner{&fitted}, d, CVConfig{Folds: 10, Seed: 1, ViewTransform: tf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trainSizes) != 10 {
-		t.Fatalf("transform called %d times", len(trainSizes))
+	if calls.Load() != 10 {
+		t.Fatalf("transform called %d times", calls.Load())
 	}
 	if res.Pooled.Total() != 100 {
 		t.Fatalf("pooled total = %v, want 100 (transform must not touch test folds)", res.Pooled.Total())
 	}
+	fitted.Range(func(n, _ any) bool {
+		if _, ok := doubled.Load(n); !ok {
+			t.Errorf("learner fitted %d instances, not a doubled training fold", n)
+		}
+		return true
+	})
+}
+
+// sizeLearner records the training-set sizes it is fitted on.
+type sizeLearner struct{ sizes *sync.Map }
+
+func (s sizeLearner) Name() string { return "size" }
+
+func (s sizeLearner) Fit(d *dataset.Dataset) (mining.Classifier, error) {
+	s.sizes.Store(d.Len(), true)
+	return stubClassifier(d.MajorityClass()), nil
 }
 
 func TestCrossValidateTransformError(t *testing.T) {
 	d := cvDataset(50, 5)
 	wantErr := errors.New("boom")
-	tf := func(*dataset.Dataset, *stats.RNG) (*dataset.Dataset, error) { return nil, wantErr }
-	if _, err := CrossValidate(context.Background(), stubLearner{}, d, CVConfig{Folds: 5, Transform: tf}); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
+	tf := func(*dataset.Store, *stats.RNG) (*dataset.View, error) { return nil, wantErr }
+	for _, l := range []mining.Learner{stubLearner{}, tree.Learner{}} {
+		if _, err := CrossValidate(context.Background(), l, d, CVConfig{Folds: 5, ViewTransform: tf}); !errors.Is(err, wantErr) {
+			t.Fatalf("%s: err = %v", l.Name(), err)
+		}
 	}
 }
 
@@ -171,24 +191,23 @@ func TestCrossValidateDeterminism(t *testing.T) {
 func TestCrossValidateWorkerCountInvariant(t *testing.T) {
 	parallel.SetBudget(8)
 	defer parallel.SetBudget(0)
-	tf := func(train *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-		// Randomly drop ~20% of the training instances.
-		out := train.Clone()
-		out.Instances = out.Instances[:0]
-		for i := range train.Instances {
+	tf := func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
+		// Randomly drop ~20% of the training rows.
+		var keep []int32
+		for i := 0; i < st.Len(); i++ {
 			if rng.Float64() < 0.8 {
-				out.Instances = append(out.Instances, train.Instances[i].Clone())
+				keep = append(keep, int32(i))
 			}
 		}
-		return out, nil
+		return st.SelectView(keep), nil
 	}
 	for _, seed := range []uint64{3, 11} {
 		d := cvDataset(150, seed)
-		serial, err := CrossValidate(context.Background(), perfectLearner{}, d, CVConfig{Folds: 8, Seed: seed, Transform: tf, Workers: 1})
+		serial, err := CrossValidate(context.Background(), perfectLearner{}, d, CVConfig{Folds: 8, Seed: seed, ViewTransform: tf, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := CrossValidate(context.Background(), perfectLearner{}, d, CVConfig{Folds: 8, Seed: seed, Transform: tf, Workers: 8})
+		par, err := CrossValidate(context.Background(), perfectLearner{}, d, CVConfig{Folds: 8, Seed: seed, ViewTransform: tf, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -13,11 +14,11 @@ import (
 )
 
 // instanceOnly strips the ViewFitter refinement off a learner, forcing
-// CrossValidate down the instance-based path — the oracle the columnar
-// path is compared against.
+// CrossValidate down the instance-based route: SubsetShared folds, or
+// the materialised view when a transform is configured.
 type instanceOnly struct{ l tree.Learner }
 
-func (w instanceOnly) Name() string { return w.l.Name() }
+func (w instanceOnly) Name() string                                      { return w.l.Name() }
 func (w instanceOnly) Fit(d *dataset.Dataset) (mining.Classifier, error) { return w.l.Fit(d) }
 
 func viewCVDataset(n int, seed uint64) *dataset.Dataset {
@@ -55,52 +56,47 @@ func TestCrossValidateViewPathMatchesInstancePath(t *testing.T) {
 	}
 }
 
-// With both transform forms set, a ViewFitter learner takes the
-// columnar path; results must match the instance path driven by the
-// dataset transform, at every worker count (same forked RNG streams).
+// noisyViewCVDataset flips ~5% of viewCVDataset's labels, so that the
+// treatment changes the folds' trees and their AUC.
+func noisyViewCVDataset(n int, seed uint64) *dataset.Dataset {
+	d := viewCVDataset(n, seed)
+	rng := stats.NewRNG(seed)
+	for i := range d.Instances {
+		if rng.Float64() < 0.05 {
+			d.Instances[i].Class = 1 - d.Instances[i].Class
+		}
+	}
+	return d
+}
+
+// The SMOTE view transform's mean AUC is pinned to the bits the
+// instance path (dataset SMOTE, FitTree) produced on these folds. A
+// view fitter trains on the view itself and any other learner on its
+// materialisation; both must hit the pin at every worker count (same
+// forked RNG streams).
 func TestCrossValidateViewTransformMatchesTransform(t *testing.T) {
-	d := viewCVDataset(300, 43)
-	tf := func(td *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-		return sampling.SMOTE(td, 1, 250, 3, rng)
+	const wantAUCBits = 0x3febe3d9e086c29a
+	d := noisyViewCVDataset(300, 44)
+	untreated, err := CrossValidate(context.Background(), tree.Learner{}, d, CVConfig{Folds: 10, Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(untreated.MeanAUC) == wantAUCBits {
+		t.Fatal("untreated folds hit the pin: it does not cover the transform")
 	}
 	vtf := func(st *dataset.Store, rng *stats.RNG) (*dataset.View, error) {
 		return sampling.SMOTEView(st, 1, 250, 3, rng)
 	}
-	want, err := CrossValidate(context.Background(), instanceOnly{}, d,
-		CVConfig{Folds: 10, Seed: 43, Transform: tf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		got, err := CrossValidate(context.Background(), tree.Learner{}, d,
-			CVConfig{Folds: 10, Seed: 43, Transform: tf, ViewTransform: vtf, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	for _, l := range []mining.Learner{tree.Learner{}, instanceOnly{}} {
+		for _, workers := range []int{1, 8} {
+			got, err := CrossValidate(context.Background(), l, d,
+				CVConfig{Folds: 10, Seed: 44, ViewTransform: vtf, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bits := math.Float64bits(got.MeanAUC); bits != wantAUCBits {
+				t.Errorf("%T workers=%d: mean AUC bits %#x, want %#x", l, workers, bits, uint64(wantAUCBits))
+			}
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: view transform diverges from dataset transform", workers)
-		}
-	}
-}
-
-// A ViewFitter learner with only a dataset Transform configured must
-// stay on the instance path (the transform has no view form to use).
-func TestCrossValidateTransformOnlyUsesInstancePath(t *testing.T) {
-	d := viewCVDataset(200, 47)
-	tf := func(td *dataset.Dataset, rng *stats.RNG) (*dataset.Dataset, error) {
-		return sampling.Undersample(td, 0, 60, rng)
-	}
-	want, err := CrossValidate(context.Background(), instanceOnly{}, d,
-		CVConfig{Folds: 5, Seed: 47, Transform: tf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CrossValidate(context.Background(), tree.Learner{}, d,
-		CVConfig{Folds: 5, Seed: 47, Transform: tf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("transform-only run diverges between learner wrappers")
 	}
 }

@@ -115,16 +115,16 @@ func ROCCrossValidated(l mining.Learner, d *dataset.Dataset, cfg CVConfig) ([]RO
 	if err != nil {
 		return nil, 0, err
 	}
-	for fi, fold := range folds {
-		// Read-only training partition: transforms clone before writing
-		// and learners must not mutate (see the dataset ownership
-		// contract), so sharing Values is safe.
+	for _, fold := range folds {
+		// Read-only training partition: learners must not mutate (see
+		// the dataset ownership contract), so sharing Values is safe.
 		train := d.SubsetShared(fold.Train)
-		if cfg.Transform != nil {
-			train, err = cfg.Transform(train, rng.Fork())
+		if cfg.ViewTransform != nil {
+			v, err := cfg.ViewTransform(dataset.NewStore(d, fold.Train), rng.Fork())
 			if err != nil {
 				return nil, 0, err
 			}
+			train = v.Materialize()
 		}
 		model, err := l.Fit(train)
 		if err != nil {
@@ -143,7 +143,6 @@ func ROCCrossValidated(l mining.Learner, d *dataset.Dataset, cfg CVConfig) ([]RO
 			}
 			all = append(all, scoredInstance{score: s, class: in.Class, w: in.Weight})
 		}
-		_ = fi
 	}
 
 	// Build a tiny single-attribute dataset carrying the scores and let

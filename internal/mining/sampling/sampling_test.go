@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -36,18 +37,25 @@ func imbalanced(nNeg, nPos int, seed uint64) *dataset.Dataset {
 	return d
 }
 
-func classCounts(d *dataset.Dataset) (neg, pos int) {
-	c := d.ClassCounts()
-	return c[0], c[1]
+func classCounts(v *dataset.View) (neg, pos int) {
+	classes := v.Classes()
+	for _, r := range v.Rows() {
+		if classes[r] == 0 {
+			neg++
+		} else {
+			pos++
+		}
+	}
+	return neg, pos
 }
 
 func TestUndersample(t *testing.T) {
 	d := imbalanced(100, 10, 1)
-	out, err := Undersample(d, 0, 30, stats.NewRNG(1))
+	v, err := UndersampleView(dataset.NewStore(d, nil), 0, 30, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	neg, pos := classCounts(out)
+	neg, pos := classCounts(v)
 	if neg != 30 {
 		t.Errorf("negatives = %d, want 30", neg)
 	}
@@ -58,36 +66,36 @@ func TestUndersample(t *testing.T) {
 
 func TestUndersampleKeepsAtLeastOne(t *testing.T) {
 	d := imbalanced(10, 2, 2)
-	out, err := Undersample(d, 0, 1, stats.NewRNG(1))
+	v, err := UndersampleView(dataset.NewStore(d, nil), 0, 1, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	neg, _ := classCounts(out)
+	neg, _ := classCounts(v)
 	if neg < 1 {
 		t.Errorf("negatives = %d, want >= 1", neg)
 	}
 }
 
 func TestUndersampleErrors(t *testing.T) {
-	d := imbalanced(10, 2, 3)
-	if _, err := Undersample(d, 0, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
+	st := dataset.NewStore(imbalanced(10, 2, 3), nil)
+	if _, err := UndersampleView(st, 0, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
 		t.Errorf("percent 0: %v", err)
 	}
-	if _, err := Undersample(d, 0, 101, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
+	if _, err := UndersampleView(st, 0, 101, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
 		t.Errorf("percent 101: %v", err)
 	}
-	if _, err := Undersample(d, 5, 50, stats.NewRNG(1)); err == nil {
+	if _, err := UndersampleView(st, 5, 50, stats.NewRNG(1)); err == nil {
 		t.Error("bad class should fail")
 	}
 }
 
 func TestOversample(t *testing.T) {
 	d := imbalanced(100, 10, 4)
-	out, err := Oversample(d, 1, 300, stats.NewRNG(1))
+	v, err := OversampleView(dataset.NewStore(d, nil), 1, 300, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	neg, pos := classCounts(out)
+	neg, pos := classCounts(v)
 	if neg != 100 {
 		t.Errorf("negatives = %d, want untouched 100", neg)
 	}
@@ -101,6 +109,7 @@ func TestOversample(t *testing.T) {
 			seen[d.Instances[i].Values[0]] = true
 		}
 	}
+	out := v.Materialize()
 	for i := range out.Instances {
 		if out.Instances[i].Class == 1 && !seen[out.Instances[i].Values[0]] {
 			t.Fatal("oversampling invented a new value; expected replacement copies")
@@ -110,11 +119,11 @@ func TestOversample(t *testing.T) {
 
 func TestSMOTECounts(t *testing.T) {
 	d := imbalanced(100, 10, 5)
-	out, err := SMOTE(d, 1, 500, 3, stats.NewRNG(1))
+	v, err := SMOTEView(dataset.NewStore(d, nil), 1, 500, 3, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pos := classCounts(out)
+	_, pos := classCounts(v)
 	if pos != 60 { // 10 + 500%
 		t.Errorf("positives = %d, want 60", pos)
 	}
@@ -124,10 +133,11 @@ func TestSMOTESyntheticsInterpolate(t *testing.T) {
 	// Positives lie on the line y = 2x; synthetic instances must stay
 	// on the segment between a seed and a neighbour — hence on the line.
 	d := imbalanced(50, 12, 6)
-	out, err := SMOTE(d, 1, 400, 5, stats.NewRNG(2))
+	v, err := SMOTEView(dataset.NewStore(d, nil), 1, 400, 5, stats.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := v.Materialize()
 	for i := d.Len(); i < out.Len(); i++ {
 		in := out.Instances[i]
 		if in.Class != 1 {
@@ -149,26 +159,26 @@ func TestSMOTESyntheticsInterpolate(t *testing.T) {
 
 func TestSMOTEUnderHundredPercent(t *testing.T) {
 	d := imbalanced(50, 20, 7)
-	out, err := SMOTE(d, 1, 50, 3, stats.NewRNG(3))
+	v, err := SMOTEView(dataset.NewStore(d, nil), 1, 50, 3, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pos := classCounts(out)
+	_, pos := classCounts(v)
 	if pos != 30 { // 20 + 50% of 20
 		t.Errorf("positives = %d, want 30", pos)
 	}
 }
 
 func TestSMOTEErrors(t *testing.T) {
-	d := imbalanced(50, 5, 8)
-	if _, err := SMOTE(d, 1, 100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
+	st := dataset.NewStore(imbalanced(50, 5, 8), nil)
+	if _, err := SMOTEView(st, 1, 100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: %v", err)
 	}
-	if _, err := SMOTE(d, 1, -5, 3, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
+	if _, err := SMOTEView(st, 1, -5, 3, stats.NewRNG(1)); !errors.Is(err, ErrBadPercent) {
 		t.Errorf("percent<0: %v", err)
 	}
-	empty := imbalanced(50, 0, 9)
-	if _, err := SMOTE(empty, 1, 100, 3, stats.NewRNG(1)); !errors.Is(err, ErrNoMinority) {
+	empty := dataset.NewStore(imbalanced(50, 0, 9), nil)
+	if _, err := SMOTEView(empty, 1, 100, 3, stats.NewRNG(1)); !errors.Is(err, ErrNoMinority) {
 		t.Errorf("no minority: %v", err)
 	}
 }
@@ -177,11 +187,11 @@ func TestSMOTESingleMinorityInstance(t *testing.T) {
 	// With one positive there are no neighbours: SMOTE degrades to
 	// replacement copies rather than failing.
 	d := imbalanced(20, 1, 10)
-	out, err := SMOTE(d, 1, 300, 5, stats.NewRNG(1))
+	v, err := SMOTEView(dataset.NewStore(d, nil), 1, 300, 5, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pos := classCounts(out)
+	_, pos := classCounts(v)
 	if pos != 4 {
 		t.Errorf("positives = %d, want 4", pos)
 	}
@@ -190,43 +200,37 @@ func TestSMOTESingleMinorityInstance(t *testing.T) {
 func TestSamplingDoesNotMutateInput(t *testing.T) {
 	d := imbalanced(30, 6, 11)
 	before := d.Clone()
-	if _, err := SMOTE(d, 1, 200, 3, stats.NewRNG(1)); err != nil {
+	st := dataset.NewStore(d, nil)
+	cols := make([][]float64, len(st.Cols()))
+	for a, col := range st.Cols() {
+		cols[a] = append([]float64(nil), col...)
+	}
+	if _, err := SMOTEView(st, 1, 200, 3, stats.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Undersample(d, 0, 50, stats.NewRNG(1)); err != nil {
+	if _, err := UndersampleView(st, 0, 50, stats.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != before.Len() {
-		t.Fatal("input mutated")
+	if !reflect.DeepEqual(cols, st.Cols()) || st.Len() != before.Len() {
+		t.Fatal("store mutated")
 	}
-	for i := range d.Instances {
-		for j := range d.Instances[i].Values {
-			if d.Instances[i].Values[j] != before.Instances[i].Values[j] {
-				t.Fatal("input values mutated")
-			}
-		}
+	if !reflect.DeepEqual(before.Instances, d.Instances) {
+		t.Fatal("input dataset mutated")
 	}
 }
 
 func TestSamplingDeterminism(t *testing.T) {
-	d := imbalanced(60, 12, 12)
-	a, err := SMOTE(d, 1, 300, 4, stats.NewRNG(42))
+	st := dataset.NewStore(imbalanced(60, 12, 12), nil)
+	a, err := SMOTEView(st, 1, 300, 4, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SMOTE(d, 1, 300, 4, stats.NewRNG(42))
+	b, err := SMOTEView(st, 1, 300, 4, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != b.Len() {
-		t.Fatal("lengths differ")
-	}
-	for i := range a.Instances {
-		for j := range a.Instances[i].Values {
-			if a.Instances[i].Values[j] != b.Instances[i].Values[j] {
-				t.Fatal("same-seed SMOTE differs")
-			}
-		}
+	if !reflect.DeepEqual(a.Materialize(), b.Materialize()) {
+		t.Fatal("same-seed SMOTE differs")
 	}
 }
 
@@ -236,77 +240,81 @@ func TestSMOTEProperty(t *testing.T) {
 		nPos := int(posRaw%20) + 2
 		pct := float64(int(pctRaw)%900 + 10)
 		d := imbalanced(30, nPos, seed)
-		out, err := SMOTE(d, 1, pct, 3, stats.NewRNG(seed))
+		v, err := SMOTEView(dataset.NewStore(d, nil), 1, pct, 3, stats.NewRNG(seed))
 		if err != nil {
 			return false
 		}
 		want := d.Len() + int(math.Round(float64(nPos)*pct/100))
-		return out.Len() == want
+		return v.Len() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
+// A cached index truncated to k must generate exactly what a direct
+// SMOTE pass with k neighbours generates.
 func TestNeighborIndexMatchesDirectSMOTE(t *testing.T) {
-	d := imbalanced(80, 15, 13)
-	ni, err := BuildNeighborIndex(d, 1, 5)
+	st := dataset.NewStore(imbalanced(80, 15, 13), nil)
+	ni, err := BuildViewIndex(st, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ni.SMOTE(300, 5, stats.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SMOTE(d, 1, 300, 5, stats.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
-	for i := range a.Instances {
-		for j := range a.Instances[i].Values {
-			if a.Instances[i].Values[j] != b.Instances[i].Values[j] {
-				t.Fatal("cached and direct SMOTE disagree")
-			}
+	for _, k := range []int{1, 5, 7} {
+		a, err := ni.SMOTEView(300, k, stats.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := SMOTEView(st, 1, 300, k, stats.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Materialize(), b.Materialize()) {
+			t.Fatalf("k=%d: cached and direct SMOTE disagree", k)
 		}
 	}
 }
 
 func TestNeighborIndexKBounds(t *testing.T) {
-	d := imbalanced(20, 6, 14)
-	ni, err := BuildNeighborIndex(d, 1, 3)
+	st := dataset.NewStore(imbalanced(20, 6, 14), nil)
+	ni, err := BuildViewIndex(st, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ni.SMOTE(100, 4, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
+	if _, err := ni.SMOTEView(100, 4, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
 		t.Errorf("k beyond index: %v", err)
 	}
-	if _, err := ni.SMOTE(100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
+	if _, err := ni.SMOTEView(100, 0, stats.NewRNG(1)); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: %v", err)
 	}
-	if _, err := BuildNeighborIndex(d, 1, 0); !errors.Is(err, ErrBadK) {
+	if _, err := BuildViewIndex(st, 1, 0); !errors.Is(err, ErrBadK) {
 		t.Errorf("maxK=0: %v", err)
 	}
-	if _, err := BuildNeighborIndex(d, 9, 3); err == nil {
+	if _, err := BuildViewIndex(st, 9, 3); err == nil {
 		t.Error("bad class should fail")
 	}
 }
 
 func TestNeighborIndexOversample(t *testing.T) {
-	d := imbalanced(40, 8, 15)
-	ni, err := BuildNeighborIndex(d, 1, 3)
+	st := dataset.NewStore(imbalanced(40, 8, 15), nil)
+	ni, err := BuildViewIndex(st, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ni.Oversample(200, stats.NewRNG(5))
+	v, err := ni.OversampleView(200, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pos := classCounts(out)
+	_, pos := classCounts(v)
 	if pos != 24 {
 		t.Errorf("positives = %d, want 24", pos)
+	}
+	direct, err := OversampleView(st, 1, 200, stats.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v.Rows(), direct.Rows()) {
+		t.Error("index and direct oversampling disagree")
 	}
 }
 
@@ -321,18 +329,17 @@ func TestNearestNeighborsAreNearest(t *testing.T) {
 			d.MustAdd(dataset.Instance{Values: []float64{c + float64(k)}, Class: 1, Weight: 1})
 		}
 	}
-	var minIdx []int
-	for i := range d.Instances {
-		if d.Instances[i].Class == 1 {
-			minIdx = append(minIdx, i)
-		}
+	st := dataset.NewStore(d, nil)
+	minIdx, err := storeMinority(st, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lists := nearestNeighbors(d, minIdx, 2)
-	for i, nn := range lists {
-		self := d.Instances[minIdx[i]].Values[0]
+	x := st.Cols()[0]
+	for i, nn := range nearestNeighbors(st, minIdx, 2) {
+		self := x[minIdx[i]]
 		for _, j := range nn {
-			if math.Abs(d.Instances[j].Values[0]-self) > 5 {
-				t.Fatalf("neighbour of %v is %v: wrong cluster", self, d.Instances[j].Values[0])
+			if math.Abs(x[j]-self) > 5 {
+				t.Fatalf("neighbour of %v is %v: wrong cluster", self, x[j])
 			}
 		}
 	}

@@ -1,15 +1,11 @@
 package sampling
 
-// This file holds the view-returning variants of the sampling
-// treatments, for the refinement grid's fold-shared columnar store
-// (DESIGN.md §10). Each
-// variant consumes the exact RNG stream of its dataset counterpart —
-// both run the same plan function (undersampleOrder, planSmote) — and
-// returns a dataset.View describing the transformed training set
-// against the store, instead of materialising cloned instances:
-// undersampling filters the store's presorted orders, oversampling
-// repeats row references, and SMOTE sorts only the synthetic rows and
-// merges them into the presorted base order.
+// This file holds the sampling treatments as views of a columnar store
+// (DESIGN.md §10): undersampling filters the store's presorted orders,
+// oversampling repeats row references, and SMOTE sorts only the
+// synthetic rows and merges them into the presorted base order. No
+// treatment copies the store's values; View.Materialize turns any view
+// into an instance-major dataset when a consumer needs one.
 
 import (
 	"fmt"
@@ -19,60 +15,60 @@ import (
 	"edem/internal/stats"
 )
 
-// UndersampleView is Undersample against a columnar store: the view
-// keeps keepPercent% of the majority-class rows (all other classes in
-// full), in the same instance order and from the same RNG stream as the
-// dataset path.
+// UndersampleView keeps keepPercent% of the majority-class rows (all
+// other classes in full), the undersampling treatment whose levels
+// Table IV reports as S=n(U). keepPercent must be in (0, 100]. The view
+// lists every non-majority row in store order, then the kept majority
+// rows in shuffled order.
 func UndersampleView(st *dataset.Store, majorityClass int, keepPercent float64, rng *stats.RNG) (*dataset.View, error) {
 	if majorityClass < 0 || majorityClass >= len(st.ClassValues()) {
 		return nil, fmt.Errorf("sampling: class %d out of range", majorityClass)
 	}
-	classes := st.Classes()
-	order, err := undersampleOrder(st.Len(), func(i int) int { return classes[i] }, majorityClass, keepPercent, rng)
-	if err != nil {
-		return nil, err
+	if keepPercent <= 0 || keepPercent > 100 {
+		return nil, fmt.Errorf("%w: keep %.1f%%", ErrBadPercent, keepPercent)
 	}
-	rows := make([]int32, len(order))
-	for i, r := range order {
-		rows[i] = int32(r)
+	var majIdx []int32
+	rows := make([]int32, 0, st.Len())
+	for i, c := range st.Classes() {
+		if c == majorityClass {
+			majIdx = append(majIdx, int32(i))
+		} else {
+			rows = append(rows, int32(i))
+		}
 	}
-	return st.SelectView(rows), nil
+	keep := int(math.Round(float64(len(majIdx)) * keepPercent / 100))
+	if keep < 1 && len(majIdx) > 0 {
+		keep = 1
+	}
+	rng.Shuffle(len(majIdx), func(i, j int) { majIdx[i], majIdx[j] = majIdx[j], majIdx[i] })
+	return st.SelectView(append(rows, majIdx[:keep]...)), nil
 }
 
-// OversampleView is Oversample against a columnar store: percent%
-// minority copies with replacement, as repeated row references.
+// OversampleView adds percent% minority copies with replacement — SMOTE
+// with interpolation factor q = 0 (paper §V-C) — as repeated row
+// references. percent=300 adds three copies per minority row.
 func OversampleView(st *dataset.Store, minorityClass int, percent float64, rng *stats.RNG) (*dataset.View, error) {
 	minIdx, err := storeMinority(st, minorityClass)
 	if err != nil {
 		return nil, err
 	}
-	specs, err := planSmote(minIdx, nil, percent, rng, true)
+	specs, err := planSmote(len(minIdx), nil, percent, rng)
 	if err != nil {
 		return nil, err
 	}
 	return viewFromSpecs(st, minorityClass, minIdx, specs), nil
 }
 
-// SMOTEView is SMOTE against a columnar store: percent% synthetic
-// minority rows interpolated towards k nearest minority neighbours,
-// appended to the store through an extend view.
+// SMOTEView adds percent% synthetic minority rows, each interpolated
+// from a seed row towards one of its k nearest minority neighbours:
+// s = t + q*(n - t) with q uniform in (0,1). The rows are appended to
+// the store through an extend view.
 func SMOTEView(st *dataset.Store, minorityClass int, percent float64, k int, rng *stats.RNG) (*dataset.View, error) {
-	if k < 1 {
-		return nil, ErrBadK
-	}
-	minIdx, err := storeMinority(st, minorityClass)
+	ni, err := BuildViewIndex(st, minorityClass, k)
 	if err != nil {
 		return nil, err
 	}
-	var neighbors [][]int
-	if len(minIdx) > 1 {
-		neighbors = storeNeighbors(st, minIdx, k)
-	}
-	specs, err := planSmote(minIdx, neighbors, percent, rng, false)
-	if err != nil {
-		return nil, err
-	}
-	return viewFromSpecs(st, minorityClass, minIdx, specs), nil
+	return ni.SMOTEView(percent, k, rng)
 }
 
 // storeMinority collects the store rows of the minority class.
@@ -90,40 +86,6 @@ func storeMinority(st *dataset.Store, minorityClass int) ([]int, error) {
 		return nil, ErrNoMinority
 	}
 	return minIdx, nil
-}
-
-// storeNeighbors runs the shared neighbour-search core over the store's
-// columns; the lists match nearestNeighbors on the materialised dataset
-// bit for bit.
-func storeNeighbors(st *dataset.Store, minIdx []int, k int) [][]int {
-	lo, hi := columnRanges(st)
-	cols := st.Cols()
-	return nearestNeighborsAt(st.Attrs(), func(row, attr int) float64 { return cols[attr][row] }, lo, hi, minIdx, k)
-}
-
-// columnRanges is attributeRanges over a store's columns.
-func columnRanges(st *dataset.Store) (lo, hi []float64) {
-	attrs := st.Attrs()
-	lo = make([]float64, len(attrs))
-	hi = make([]float64, len(attrs))
-	for i := range lo {
-		lo[i] = math.Inf(1)
-		hi[i] = math.Inf(-1)
-	}
-	for i, col := range st.Cols() {
-		for _, v := range col {
-			if dataset.IsMissing(v) {
-				continue
-			}
-			if v < lo[i] {
-				lo[i] = v
-			}
-			if v > hi[i] {
-				hi[i] = v
-			}
-		}
-	}
-	return lo, hi
 }
 
 // viewFromSpecs realises a synthetic-instance plan against the store.
@@ -168,6 +130,8 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 			if attrs[a].Type == dataset.Numeric {
 				vs[a] = sv + sp.q*(nv-sv)
 			} else if sp.q >= 0.5 {
+				// Nominal attributes take the neighbour's value when
+				// the interpolation point is closer to it.
 				vs[a] = nv
 			}
 		}

@@ -49,8 +49,7 @@ func TestFitTreeViewMatchesFitTree(t *testing.T) {
 }
 
 // Every sampling view shape (select, repeat, extend) must induce the
-// identical tree to FitTree on the materialised dataset produced by the
-// corresponding dataset transform.
+// identical tree to FitTree on the view's materialised dataset.
 func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 	d := mixedDataset(300, 22)
 	// mixedDataset classes come from its own rule; relabel a slice of
@@ -65,35 +64,18 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 
 	cases := []struct {
 		name string
-		ds   func(rng *stats.RNG) (*dataset.Dataset, error)
 		view func(rng *stats.RNG) (*dataset.View, error)
 	}{
-		{
-			name: "undersample",
-			ds:   func(rng *stats.RNG) (*dataset.Dataset, error) { return sampling.Undersample(d, 0, 35, rng) },
-			view: func(rng *stats.RNG) (*dataset.View, error) { return sampling.UndersampleView(st, 0, 35, rng) },
-		},
-		{
-			name: "oversample",
-			ds:   func(rng *stats.RNG) (*dataset.Dataset, error) { return sampling.Oversample(d, 1, 400, rng) },
-			view: func(rng *stats.RNG) (*dataset.View, error) { return sampling.OversampleView(st, 1, 400, rng) },
-		},
-		{
-			name: "smote",
-			ds:   func(rng *stats.RNG) (*dataset.Dataset, error) { return sampling.SMOTE(d, 1, 300, 5, rng) },
-			view: func(rng *stats.RNG) (*dataset.View, error) { return sampling.SMOTEView(st, 1, 300, 5, rng) },
-		},
+		{"undersample", func(rng *stats.RNG) (*dataset.View, error) { return sampling.UndersampleView(st, 0, 35, rng) }},
+		{"oversample", func(rng *stats.RNG) (*dataset.View, error) { return sampling.OversampleView(st, 1, 400, rng) }},
+		{"smote", func(rng *stats.RNG) (*dataset.View, error) { return sampling.SMOTEView(st, 1, 300, 5, rng) }},
 	}
 	for _, tc := range cases {
-		td, err := tc.ds(stats.NewRNG(31))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want, err := (Learner{}).FitTree(td)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
 		v, err := tc.view(stats.NewRNG(31))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := (Learner{}).FitTree(v.Materialize())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -102,7 +84,7 @@ func TestFitTreeViewMatchesSampledDatasets(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !nodesEqual(want.Root, got.Root) {
-			t.Fatalf("%s: view-based tree diverges from instance-based tree", tc.name)
+			t.Fatalf("%s: view-based tree diverges from the materialised dataset's", tc.name)
 		}
 	}
 }

@@ -486,7 +486,7 @@ type LifecycleStatusResponse struct {
 	Window lifecycle.WindowStats `json:"window"`
 	// HasBaseline reports whether a drift baseline is frozen; Drift is
 	// the per-detector drift report against it.
-	HasBaseline bool                `json:"has_baseline"`
+	HasBaseline bool                 `json:"has_baseline"`
 	Drift       []lifecycle.DriftRow `json:"drift,omitempty"`
 	// FeedbackRecords counts feedback journalled by this process.
 	FeedbackRecords int64 `json:"feedback_records"`
