@@ -58,21 +58,38 @@ func benchOpts() core.Options {
 	return opts
 }
 
-// datasetCache builds each fault-injection dataset once per process; the
-// campaigns are deterministic so sharing them across benchmarks only
-// removes redundant work.
-var datasetCache sync.Map // id -> *dataset.Dataset
+// datasetCache builds each fault-injection dataset once per process and
+// campaign scale; the campaigns are deterministic so sharing them across
+// benchmarks only removes redundant work.
+var datasetCache sync.Map // datasetKey -> *dataset.Dataset
 
+type datasetKey struct {
+	id   string
+	opts core.Options
+}
+
+// benchDataset builds dataset id at the benchmarks' campaign scale.
 func benchDataset(b *testing.B, id string) *dataset.Dataset {
+	return cachedDataset(b, id, benchOpts())
+}
+
+// pipelineDataset builds the dataset `edem run -dataset id` refines:
+// the campaign at core.DefaultOptions (default seed), preprocessed.
+func pipelineDataset(b *testing.B, id string) *dataset.Dataset {
+	return cachedDataset(b, id, core.DefaultOptions())
+}
+
+func cachedDataset(b *testing.B, id string, opts core.Options) *dataset.Dataset {
 	b.Helper()
-	if d, ok := datasetCache.Load(id); ok {
+	key := datasetKey{id, opts}
+	if d, ok := datasetCache.Load(key); ok {
 		return d.(*dataset.Dataset)
 	}
-	d, _, err := core.BuildDataset(context.Background(), id, benchOpts())
+	d, _, err := core.BuildDataset(context.Background(), id, opts)
 	if err != nil {
 		b.Fatalf("build dataset %s: %v", id, err)
 	}
-	datasetCache.Store(id, d)
+	datasetCache.Store(key, d)
 	return d
 }
 
@@ -455,24 +472,58 @@ func syntheticGridDataset(n int, seed uint64) *dataset.Dataset {
 }
 
 // BenchmarkRefineGrid is the end-to-end Step 4 kernel: the full reduced
-// sampling grid (20 configurations + baseline × 10 folds) over a
-// synthetic campaign log. This is the headline number for the
-// fold-shared columnar store; scripts/bench.sh records ns/op and
+// sampling grid (20 configurations + baseline × 10 folds). The
+// workers=N sub-benchmarks run it over a synthetic 2000-row campaign
+// log, whose profile is dominated by split scoring (entropy);
+// dataset=7Z-B2 runs it over the real preprocessed 7Z-B2 campaign at the
+// default seed, the refinement `edem run -dataset 7Z-B2` performs, where
+// the SMOTE neighbour index and tree induction share the time. Profile
+// the latter when tuning refinement. scripts/bench.sh records ns/op and
 // allocs/op into BENCH_refine.json.
 func BenchmarkRefineGrid(b *testing.B) {
-	d := syntheticGridDataset(2000, 11)
 	grid := core.RefineGrid(false)
-	for _, w := range []int{1, 0} {
+	run := func(b *testing.B, d *dataset.Dataset, workers int) {
 		opts := core.DefaultOptions()
-		opts.Workers = w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Refine(context.Background(), d, grid, opts); err != nil {
-					b.Fatal(err)
-				}
+		opts.Workers = workers
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Refine(context.Background(), d, grid, opts); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+	}
+	synthetic := syntheticGridDataset(2000, 11)
+	for _, w := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, synthetic, w) })
+	}
+	b.Run("dataset=7Z-B2", func(b *testing.B) { run(b, pipelineDataset(b, "7Z-B2"), 0) })
+}
+
+// BenchmarkNeighborIndex builds the SMOTE neighbour index of one 7Z-B2
+// training fold (the first of the 10 stratified folds refinement uses,
+// about 2,900 minority rows) for the grid's largest neighbour count —
+// the per-fold cost refinement pays once before its SMOTE cells.
+func BenchmarkNeighborIndex(b *testing.B) {
+	opts := core.DefaultOptions()
+	d := pipelineDataset(b, "7Z-B2")
+	folds, err := dataset.StratifiedKFold(d, opts.Folds, stats.NewRNG(opts.Seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := dataset.NewStore(d, folds[0].Train)
+	maxK := 0
+	for _, cfg := range core.RefineGrid(false) {
+		if cfg.Kind == core.Smote && cfg.K > maxK {
+			maxK = cfg.K
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sampling.BuildViewIndex(st, eval.PositiveClass, maxK); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"edem/internal/dataset"
 	"edem/internal/mining/eval"
@@ -24,7 +25,9 @@ import (
 // stopping at the fold count. Results are bit-identical for any worker
 // count: each cell derives its RNG from (seed, fold, config) alone, and
 // the per-fold shared artifacts (training partition, SMOTE neighbour
-// index) are built once on first use and only read afterwards.
+// index) are built once on first use and only read afterwards. A fold's
+// artifacts are dropped as soon as its last cell finishes, so at most
+// the folds with cells in flight hold memory.
 func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts Options) (*RefineResult, error) {
 	ctx, span := telemetry.StartSpan(ctx, "refine")
 	defer span.End()
@@ -48,6 +51,9 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 	nCfg := len(full)
 	cells := make([]refineCell, nCfg*len(folds))
 	shared := make([]foldShared, len(folds))
+	for fi := range shared {
+		shared[fi].cellsLeft.Store(int64(nCfg))
+	}
 
 	reg := telemetry.FromContext(ctx)
 	reg.Counter("refine.grid_configs").Add(int64(nCfg))
@@ -58,6 +64,7 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 		viewHits:    reg.Counter("refine.view_hits"),
 		mergeSyn:    reg.Counter("refine.merge_synthetic_rows"),
 	}
+	foldsReleased := reg.Counter("refine.folds_released")
 
 	// Cell index layout: fold-major, so the cells of one fold are
 	// adjacent in the claim order and the fold's lazily-built artifacts
@@ -71,6 +78,10 @@ func Refine(ctx context.Context, d *dataset.Dataset, grid []SamplingConfig, opts
 		}
 		cellNS.Observe(int64(cellSpan.End()))
 		cellsScored.Inc()
+		if shared[fi].cellsLeft.Add(-1) == 0 {
+			shared[fi].release()
+			foldsReleased.Inc()
+		}
 		return nil
 	})
 	if err != nil {
@@ -117,7 +128,9 @@ type refineCell struct {
 // columnar training store (DESIGN.md §10) and (when the grid contains
 // SMOTE points) the minority neighbour index over it. Both are built
 // exactly once, by whichever cell of the fold is scheduled first, and
-// are immutable afterwards.
+// are immutable afterwards. cellsLeft counts the fold's unfinished
+// cells; the cell that brings it to zero releases both, since no other
+// cell of the fold can still be reading them.
 type foldShared struct {
 	storeOnce sync.Once
 	store     *dataset.Store
@@ -125,6 +138,14 @@ type foldShared struct {
 	niOnce sync.Once
 	ni     *sampling.NeighborIndex
 	niErr  error
+
+	cellsLeft atomic.Int64
+}
+
+// release drops the fold's artifacts once its last cell has finished.
+func (s *foldShared) release() {
+	s.store = nil
+	s.ni = nil
 }
 
 // refineCounters carries the telemetry handles hoisted out of the cell

@@ -23,11 +23,13 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 		HistCount map[string]int64
 		PhaseN    map[string]int64
 	}
+	const folds = 10
 	runAt := func(workers int) counts {
 		opts := DefaultOptions()
 		opts.TestCases = 2
 		opts.BitStride = 16
 		opts.Workers = workers
+		opts.Folds = folds
 		// A context-local registry isolates this run from the process
 		// default and from the other worker counts.
 		reg := telemetry.New()
@@ -70,6 +72,10 @@ func TestTelemetryCountersWorkerInvariant(t *testing.T) {
 		if serial.Counters[name] <= 0 {
 			t.Errorf("counter %s not accumulated: %d", name, serial.Counters[name])
 		}
+	}
+	// Every fold's store and index is dropped after its last cell.
+	if got := serial.Counters["refine.folds_released"]; got != folds {
+		t.Errorf("refine.folds_released = %d, want one per fold (%d)", got, folds)
 	}
 	for _, workers := range []int{2, 8} {
 		par := runAt(workers)

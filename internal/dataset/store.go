@@ -128,14 +128,6 @@ func (s *Store) Weights() []float64 { return s.weights }
 // node anyway).
 func (s *Store) Sorted() [][]int32 { return s.sorted }
 
-// Synthetic is one generated training row (a SMOTE interpolation) to be
-// appended to a store's base rows through ExtendView.
-type Synthetic struct {
-	Values []float64
-	Class  int
-	Weight float64
-}
-
 // View is a training set described against a Store: the base rows it
 // keeps (possibly repeated), any synthetic rows appended after them,
 // and — when the store is missing-free — the pre-merged ascending row
@@ -267,16 +259,22 @@ func (s *Store) RepeatView(extra []int32) *View {
 	return v
 }
 
-// ExtendView returns the view holding every base row plus the given
-// synthetic rows appended in order — the SMOTE shape. Columns, classes
-// and weights are extended copies (flat arenas, no per-instance
-// allocations); each numeric attribute's order sorts only the m
-// synthetic rows and merges them into the store's presorted base order
-// in O(n + m), with base rows winning ties.
-func (s *Store) ExtendView(syn []Synthetic) *View {
-	n, m := s.n, len(syn)
+// ExtendView returns the view holding every base row plus m synthetic
+// rows appended after them — the SMOTE shape. Columns, classes and
+// weights are extended copies in flat arenas; fill writes the synthetic
+// rows straight into them, with cols[a][j], classes[j] and weights[j]
+// (j < m) addressing synthetic row j, so no intermediate row list is
+// built. Weights <= 0 are clamped to 1 afterwards, as NewStore does.
+// Each numeric attribute's order sorts only the m synthetic rows and
+// merges them into the store's presorted base order in O(n + m), with
+// base rows winning ties.
+func (s *Store) ExtendView(m int, fill func(cols [][]float64, classes []int, weights []float64)) *View {
+	n := s.n
 	rows := make([]int32, n+m)
 	copy(rows, s.identity)
+	for j := n; j < n+m; j++ {
+		rows[j] = int32(j)
+	}
 	v := &View{
 		store:    s,
 		rows:     rows,
@@ -286,29 +284,28 @@ func (s *Store) ExtendView(syn []Synthetic) *View {
 		appended: m,
 	}
 	colArena := make([]float64, (n+m)*len(s.attrs))
-	synMissing := false
+	synCols := make([][]float64, len(s.attrs))
 	for a := range s.attrs {
 		col := colArena[a*(n+m) : (a+1)*(n+m)]
 		copy(col, s.cols[a])
-		for j := range syn {
-			val := syn[j].Values[a]
-			col[n+j] = val
+		v.cols[a] = col
+		synCols[a] = col[n:]
+	}
+	copy(v.classes, s.classes)
+	copy(v.weights, s.weights)
+	fill(synCols, v.classes[n:], v.weights[n:])
+	for j := n; j < n+m; j++ {
+		if v.weights[j] <= 0 {
+			v.weights[j] = 1
+		}
+	}
+	synMissing := false
+	for _, col := range synCols {
+		for _, val := range col {
 			if IsMissing(val) {
 				synMissing = true
 			}
 		}
-		v.cols[a] = col
-	}
-	copy(v.classes, s.classes)
-	copy(v.weights, s.weights)
-	for j := range syn {
-		rows[n+j] = int32(n + j)
-		v.classes[n+j] = syn[j].Class
-		w := syn[j].Weight
-		if w <= 0 {
-			w = 1
-		}
-		v.weights[n+j] = w
 	}
 	// Interpolating infinite base values can produce NaN synthetics on
 	// a missing-free store; those views fall back like missing data,

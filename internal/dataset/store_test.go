@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -158,15 +159,29 @@ func TestRepeatView(t *testing.T) {
 	}
 }
 
+// extendWith appends the given instances to st through ExtendView's
+// fill callback.
+func extendWith(st *Store, syn []Instance) *View {
+	return st.ExtendView(len(syn), func(cols [][]float64, classes []int, weights []float64) {
+		for j, in := range syn {
+			for a, val := range in.Values {
+				cols[a][j] = val
+			}
+			classes[j] = in.Class
+			weights[j] = in.Weight
+		}
+	})
+}
+
 func TestExtendView(t *testing.T) {
 	d := storeTestDataset(30, 11)
 	st := NewStore(d, nil)
-	syn := []Synthetic{
+	syn := []Instance{
 		{Values: []float64{2.5, 1, 0.5}, Class: 1, Weight: 1},
-		{Values: []float64{9.9, 0, 4.4}, Class: 1, Weight: 1},
-		{Values: []float64{0.1, 2, 2.2}, Class: 1, Weight: 1},
+		{Values: []float64{9.9, 0, 4.4}, Class: 1, Weight: 0},
+		{Values: []float64{0.1, 2, 2.2}, Class: 1, Weight: 2},
 	}
-	v := st.ExtendView(syn)
+	v := extendWith(st, syn)
 	if v.Len() != 33 || v.Appended() != 3 {
 		t.Fatalf("len %d appended %d", v.Len(), v.Appended())
 	}
@@ -177,10 +192,23 @@ func TestExtendView(t *testing.T) {
 		if got.Class != s.Class {
 			t.Fatalf("synthetic %d: class %d", i, got.Class)
 		}
+		want := s.Weight
+		if want <= 0 {
+			want = 1
+		}
+		if got.Weight != want {
+			t.Fatalf("synthetic %d: weight %v, want %v", i, got.Weight, want)
+		}
 		for j := range s.Values {
 			if got.Values[j] != s.Values[j] {
 				t.Fatalf("synthetic %d attr %d: %v != %v", i, j, got.Values[j], s.Values[j])
 			}
+		}
+	}
+	// The base rows are the store's, untouched by the fill.
+	for i := 0; i < 30; i++ {
+		if !reflect.DeepEqual(md.Instances[i].Values, d.Instances[i].Values) {
+			t.Fatalf("base row %d changed", i)
 		}
 	}
 }
@@ -194,7 +222,7 @@ func TestExtendViewTieOrder(t *testing.T) {
 		d.MustAdd(Instance{Values: []float64{x}, Class: 0, Weight: 1})
 	}
 	st := NewStore(d, nil)
-	v := st.ExtendView([]Synthetic{{Values: []float64{2}, Class: 1, Weight: 1}})
+	v := extendWith(st, []Instance{{Values: []float64{2}, Class: 1, Weight: 1}})
 	idx := v.Sorted()[0]
 	want := []int32{0, 1, 2, 4, 3}
 	for i := range want {
@@ -227,7 +255,7 @@ func TestStoreMissingDisablesSorted(t *testing.T) {
 func TestExtendViewNaNSynthetic(t *testing.T) {
 	d := storeTestDataset(10, 17)
 	st := NewStore(d, nil)
-	v := st.ExtendView([]Synthetic{{Values: []float64{math.NaN(), 0, 1}, Class: 1, Weight: 1}})
+	v := extendWith(st, []Instance{{Values: []float64{math.NaN(), 0, 1}, Class: 1, Weight: 1}})
 	if !v.HasMissing() {
 		t.Fatal("NaN synthetic must disable the merge order")
 	}

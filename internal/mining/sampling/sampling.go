@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"edem/internal/dataset"
 	"edem/internal/stats"
@@ -91,63 +90,153 @@ func planSmote(m int, neighbors [][]int, percent float64, rng *stats.RNG) ([]syn
 }
 
 // nearestNeighbors returns, for each minority row of st, the store rows
-// of its k nearest minority-class neighbours under min-max-normalised
-// Euclidean distance (nominal attributes contribute 0/1 mismatch, a
-// missing value on either side 1), ties broken by the lower row.
+// of its min(k, m-1) nearest minority-class neighbours under
+// min-max-normalised Euclidean distance (nominal attributes contribute
+// 0/1 mismatch, a missing value on either side 1), ordered by
+// (distance, row) with a NaN distance — possible when a column holds
+// ±Inf — ranked after every number.
+//
+// Each unordered pair's distance is computed once and offered to both
+// rows' bounded top-k lists: d(a,b) and d(b,a) sum the same terms in
+// the same attribute order, so they are equal bit for bit. A pair is
+// abandoned as soon as its running sum ranks after both rows' current
+// k-th distance; every term is >= 0, so the sum only grows and the
+// abandoned pair could have entered neither list. Rows are offered to
+// a list in ascending row order (pairs run i<j, outer i ascending), so
+// a candidate that ties a listed distance ranks after it, and the lists
+// equal a full (distance, row) sort of every candidate.
 func nearestNeighbors(st *dataset.Store, minIdx []int, k int) [][]int {
+	m := len(minIdx)
+	k = min(k, m-1)
 	attrs := st.Attrs()
-	cols := st.Cols()
+	nA := len(attrs)
 	lo, hi := columnRanges(st)
-	dist := func(a, b int) float64 {
-		s := 0.0
-		for i, col := range cols {
-			av, bv := col[a], col[b]
-			if dataset.IsMissing(av) || dataset.IsMissing(bv) {
-				s++
-				continue
-			}
-			if attrs[i].Type == dataset.Nominal {
-				if av != bv {
-					s++
-				}
-				continue
-			}
-			span := hi[i] - lo[i]
-			if span <= 0 {
-				continue
-			}
-			diff := (av - bv) / span
-			s += diff * diff
+	span := make([]float64, nA)
+	nominal := make([]bool, nA)
+	flat := make([]bool, nA) // numeric with span <= 0: adds nothing
+	for a := range attrs {
+		span[a] = hi[a] - lo[a]
+		nominal[a] = attrs[a].Type == dataset.Nominal
+		flat[a] = !nominal[a] && span[a] <= 0
+	}
+	// Row-major copy of the minority rows, so the pair loop reads one
+	// contiguous record per row.
+	x := make([]float64, m*nA)
+	for a, col := range st.Cols() {
+		for p, r := range minIdx {
+			x[p*nA+a] = col[r]
 		}
-		return s
 	}
 
-	res := make([][]int, len(minIdx))
-	type cand struct {
-		idx int
-		d   float64
+	tops := make([]topK, m)
+	dArena := make([]float64, m*k)
+	pArena := make([]int32, m*k)
+	for p := range tops {
+		tops[p] = topK{d: dArena[p*k : p*k : (p+1)*k], pos: pArena[p*k : p*k : (p+1)*k]}
 	}
-	for i, ii := range minIdx {
-		cands := make([]cand, 0, len(minIdx)-1)
-		for j, jj := range minIdx {
-			if i == j {
-				continue
+	for i := 0; i < m; i++ {
+		xi := x[i*nA : (i+1)*nA]
+		ti := &tops[i]
+	pairs:
+		for j := i + 1; j < m; j++ {
+			xj := x[j*nA : (j+1)*nA]
+			tj := &tops[j]
+			// The pair stops once it ranks after the looser bound.
+			bound := ti.bound(k)
+			if bj := tj.bound(k); distAfter(bj, bound) {
+				bound = bj
 			}
-			cands = append(cands, cand{idx: jj, d: dist(ii, jj)})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].d != cands[b].d {
-				return cands[a].d < cands[b].d
+			s := 0.0
+			for a, av := range xi {
+				bv := xj[a]
+				switch {
+				case dataset.IsMissing(av) || dataset.IsMissing(bv):
+					s++
+				case nominal[a]:
+					if av != bv {
+						s++
+					}
+				case flat[a]:
+					continue
+				default:
+					diff := (av - bv) / span[a]
+					s += diff * diff
+				}
+				if distAfter(s, bound) {
+					continue pairs
+				}
 			}
-			return cands[a].idx < cands[b].idx
-		})
-		nn := make([]int, min(k, len(cands)))
-		for x := range nn {
-			nn[x] = cands[x].idx
+			ti.offer(s, int32(j), k)
+			tj.offer(s, int32(i), k)
 		}
-		res[i] = nn
+	}
+
+	res := make([][]int, m)
+	arena := make([]int, m*k)
+	for p, t := range tops {
+		nn := arena[p*k : p*k+len(t.pos)]
+		for e, q := range t.pos {
+			nn[e] = minIdx[q]
+		}
+		res[p] = nn
 	}
 	return res
+}
+
+// topK is one row's bounded neighbour list: distances and minority
+// positions, ascending by (distance, position). Position order is row
+// order, since minIdx is ascending.
+type topK struct {
+	d   []float64
+	pos []int32
+}
+
+// bound returns the distance a candidate must not rank after to enter
+// the list: its k-th entry, or NaN while the list has room (nothing
+// ranks after NaN, so such a list rules no candidate out).
+func (t *topK) bound(k int) float64 {
+	if len(t.d) < k {
+		return math.NaN()
+	}
+	return t.d[k-1]
+}
+
+// offer inserts candidate (d, p) if it ranks before the list's last
+// entry or the list has room, keeping at most k entries.
+func (t *topK) offer(d float64, p int32, k int) {
+	n := len(t.d)
+	if n == k {
+		if !neighborBefore(d, p, t.d[n-1], t.pos[n-1]) {
+			return
+		}
+		n--
+	} else {
+		t.d = t.d[:n+1]
+		t.pos = t.pos[:n+1]
+	}
+	for n > 0 && neighborBefore(d, p, t.d[n-1], t.pos[n-1]) {
+		t.d[n], t.pos[n] = t.d[n-1], t.pos[n-1]
+		n--
+	}
+	t.d[n], t.pos[n] = d, p
+}
+
+// distAfter reports whether distance a ranks strictly after distance b,
+// with NaN after every number and equal to itself.
+func distAfter(a, b float64) bool {
+	return a > b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// neighborBefore is the (distance, position) order of the neighbour
+// lists: ascending distance with NaN last, ties broken by position.
+func neighborBefore(da float64, pa int32, db float64, pb int32) bool {
+	if distAfter(db, da) {
+		return true
+	}
+	if distAfter(da, db) {
+		return false
+	}
+	return pa < pb
 }
 
 // columnRanges returns per-attribute min/max over a store's non-missing

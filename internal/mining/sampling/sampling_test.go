@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -342,5 +343,210 @@ func TestNearestNeighborsAreNearest(t *testing.T) {
 				t.Fatalf("neighbour of %v is %v: wrong cluster", self, x[j])
 			}
 		}
+	}
+}
+
+// bruteNeighbors is the reference neighbour search: every candidate's
+// full distance, then a full sort by (distance, row) with a NaN
+// distance after every number. It is the scan nearestNeighbors
+// replaced, kept as the oracle the top-k search must match.
+func bruteNeighbors(st *dataset.Store, minIdx []int, k int) [][]int {
+	attrs := st.Attrs()
+	cols := st.Cols()
+	lo, hi := columnRanges(st)
+	dist := func(a, b int) float64 {
+		s := 0.0
+		for i, col := range cols {
+			av, bv := col[a], col[b]
+			if dataset.IsMissing(av) || dataset.IsMissing(bv) {
+				s++
+				continue
+			}
+			if attrs[i].Type == dataset.Nominal {
+				if av != bv {
+					s++
+				}
+				continue
+			}
+			span := hi[i] - lo[i]
+			if span <= 0 {
+				continue
+			}
+			diff := (av - bv) / span
+			s += diff * diff
+		}
+		return s
+	}
+	type cand struct {
+		idx int
+		d   float64
+	}
+	res := make([][]int, len(minIdx))
+	for i, ii := range minIdx {
+		cands := make([]cand, 0, len(minIdx)-1)
+		for j, jj := range minIdx {
+			if i != j {
+				cands = append(cands, cand{idx: jj, d: dist(ii, jj)})
+			}
+		}
+		sort.Slice(cands, func(a, b int) bool {
+			da, db := cands[a].d, cands[b].d
+			if an, bn := math.IsNaN(da), math.IsNaN(db); an != bn {
+				return bn
+			} else if !an && da != db {
+				return da < db
+			}
+			return cands[a].idx < cands[b].idx
+		})
+		nn := make([]int, min(k, len(cands)))
+		for x := range nn {
+			nn[x] = cands[x].idx
+		}
+		res[i] = nn
+	}
+	return res
+}
+
+// randomNeighborStore builds a store whose minority rows exercise every
+// branch of the distance: coarse numeric values (distance ties), a
+// zero-span column, a nominal column, missing values and duplicate
+// rows.
+func randomNeighborStore(rng *stats.RNG, nPos int, missing bool) *dataset.Store {
+	d := dataset.New("nn", []dataset.Attribute{
+		dataset.NumericAttr("a"),
+		dataset.NumericAttr("flat"),
+		dataset.NominalAttr("m", "x", "y", "z"),
+		dataset.NumericAttr("b"),
+	}, []string{"neg", "pos"})
+	grid := float64(rng.Intn(6) + 2)
+	for i := 0; i < nPos+10; i++ {
+		class := 0
+		if i%2 == 0 || i >= 20 {
+			class = 1
+		}
+		if class == 1 && nPos == 0 {
+			class = 0
+		}
+		var vs []float64
+		if i > 0 && rng.Intn(6) == 0 {
+			vs = append([]float64(nil), d.Instances[rng.Intn(i)].Values...)
+		} else {
+			vs = []float64{
+				math.Floor(rng.Float64() * grid),
+				3,
+				float64(rng.Intn(3)),
+				rng.Float64()*10 - 5,
+			}
+			if rng.Intn(3) == 0 {
+				vs[3] = math.Floor(vs[3])
+			}
+		}
+		if missing && rng.Intn(8) == 0 {
+			vs[rng.Intn(len(vs))] = math.NaN()
+		}
+		if class == 1 {
+			nPos--
+		}
+		d.MustAdd(dataset.Instance{Values: vs, Class: class, Weight: 1})
+	}
+	return dataset.NewStore(d, nil)
+}
+
+// The symmetric top-k search must return exactly the lists of the full
+// sort, ties and degenerate shapes included.
+func TestNearestNeighborsMatchBruteForce(t *testing.T) {
+	rng := stats.NewRNG(91)
+	for trial := 0; trial < 300; trial++ {
+		nPos := 2 + rng.Intn(40)
+		if trial%10 == 0 {
+			nPos = 2
+		}
+		st := randomNeighborStore(rng, nPos, trial%3 != 0)
+		minIdx, err := storeMinority(st, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := len(minIdx)
+		for _, k := range []int{1, 2, 5, 14, m - 1, m, m + 3} {
+			if k < 1 {
+				continue
+			}
+			got := nearestNeighbors(st, minIdx, k)
+			want := bruteNeighbors(st, minIdx, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (m=%d, k=%d): top-k lists differ from the full sort\ngot  %v\nwant %v", trial, m, k, got, want)
+			}
+		}
+		ni, err := BuildViewIndex(st, 1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteNeighbors(st, minIdx, 7); !reflect.DeepEqual(ni.lists, want) {
+			t.Fatalf("trial %d: BuildViewIndex lists differ from the full sort", trial)
+		}
+	}
+}
+
+// A column holding ±Inf has an infinite span, so pairs involving an
+// infinite value have NaN distance. Such neighbours rank after every
+// numeric distance, in row order, whatever the sort algorithm.
+func TestNearestNeighborsNaNDistanceOrder(t *testing.T) {
+	d := dataset.New("inf", []dataset.Attribute{
+		dataset.NumericAttr("x"),
+		dataset.NumericAttr("y"),
+	}, []string{"neg", "pos"})
+	inf := math.Inf(1)
+	for _, row := range [][]float64{
+		{0, 0}, {inf, 1}, {1, 2}, {-inf, 3}, {2, 4}, {inf, 5}, {0, 6}, {-inf, 7}, {3, 8},
+	} {
+		d.MustAdd(dataset.Instance{Values: row, Class: 1, Weight: 1})
+	}
+	d.MustAdd(dataset.Instance{Values: []float64{0, 0}, Class: 0, Weight: 1})
+	st := dataset.NewStore(d, nil)
+	minIdx, err := storeMinority(st, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infinite := func(r int) bool { return math.IsInf(st.Cols()[0][r], 0) }
+	for _, k := range []int{1, 3, 8} {
+		got := nearestNeighbors(st, minIdx, k)
+		if want := bruteNeighbors(st, minIdx, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: got %v, want %v", k, got, want)
+		}
+		for p, nn := range got {
+			// Every pair with an infinite side is NaN: a finite row
+			// lists its finite neighbours first, an infinite row lists
+			// all neighbours in row order.
+			if infinite(minIdx[p]) {
+				if !sort.IntsAreSorted(nn) {
+					t.Fatalf("k=%d row %d: NaN-distance neighbours out of row order: %v", k, minIdx[p], nn)
+				}
+				continue
+			}
+			seenNaN := false
+			for _, q := range nn {
+				if infinite(q) {
+					seenNaN = true
+				} else if seenNaN {
+					t.Fatalf("k=%d row %d: numeric neighbour %d after a NaN one: %v", k, minIdx[p], q, nn)
+				}
+			}
+		}
+	}
+	// The index built on this store feeds SMOTE deterministically.
+	ni, err := BuildViewIndex(st, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ni.SMOTEView(200, 3, stats.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ni.SMOTEView(200, 3, stats.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Rows(), b.Rows()) {
+		t.Fatal("same-seed SMOTE differs on an infinite column")
 	}
 }

@@ -92,7 +92,8 @@ func storeMinority(st *dataset.Store, minorityClass int) ([]int, error) {
 // A plan of plain copies (oversampling, or SMOTE degenerating to
 // replacement when the minority has a single member) becomes a repeat
 // view — duplicate row references, no value copies. A plan with
-// interpolations becomes an extend view holding the m synthetic rows.
+// interpolations becomes an extend view holding the m synthetic rows,
+// interpolated straight into the view's column arena.
 func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []synSpec) *dataset.View {
 	allCopies := true
 	for _, sp := range specs {
@@ -112,30 +113,32 @@ func viewFromSpecs(st *dataset.Store, minorityClass int, minIdx []int, specs []s
 	attrs := st.Attrs()
 	cols := st.Cols()
 	weights := st.Weights()
-	syn := make([]dataset.Synthetic, len(specs))
-	valArena := make([]float64, len(specs)*len(attrs))
-	for i, sp := range specs {
-		seedRow := minIdx[sp.seedPos]
-		vs := valArena[i*len(attrs) : (i+1)*len(attrs)]
+	return st.ExtendView(len(specs), func(syn [][]float64, classes []int, ws []float64) {
+		for i, sp := range specs {
+			classes[i] = minorityClass
+			ws[i] = weights[minIdx[sp.seedPos]]
+		}
 		for a := range attrs {
-			sv := cols[a][seedRow]
-			vs[a] = sv
-			if sp.nn < 0 {
-				continue
-			}
-			nv := cols[a][sp.nn]
-			if dataset.IsMissing(sv) || dataset.IsMissing(nv) {
-				continue
-			}
-			if attrs[a].Type == dataset.Numeric {
-				vs[a] = sv + sp.q*(nv-sv)
-			} else if sp.q >= 0.5 {
-				// Nominal attributes take the neighbour's value when
-				// the interpolation point is closer to it.
-				vs[a] = nv
+			col, out := cols[a], syn[a]
+			numeric := attrs[a].Type == dataset.Numeric
+			for i, sp := range specs {
+				sv := col[minIdx[sp.seedPos]]
+				out[i] = sv
+				if sp.nn < 0 {
+					continue
+				}
+				nv := col[sp.nn]
+				if dataset.IsMissing(sv) || dataset.IsMissing(nv) {
+					continue
+				}
+				if numeric {
+					out[i] = sv + sp.q*(nv-sv)
+				} else if sp.q >= 0.5 {
+					// Nominal attributes take the neighbour's value
+					// when the interpolation point is closer to it.
+					out[i] = nv
+				}
 			}
 		}
-		syn[i] = dataset.Synthetic{Values: vs, Class: minorityClass, Weight: weights[seedRow]}
-	}
-	return st.ExtendView(syn)
+	})
 }

@@ -17,10 +17,13 @@ import (
 // A second cost on large campaigns is allocation churn: the refinement
 // grid induces thousands of trees per dataset, so per-node garbage adds
 // up. The builder therefore keeps split-scan scratch (class
-// distributions, candidate splits, branch counters) on the builder and
-// partitions nodes count-then-fill into single arena allocations
-// instead of per-child append chains. A builder is used by one
-// goroutine; fold- and grid-level parallelism each construct their own.
+// distributions, candidate splits, branch counters) on the builder, and
+// holds the row list and every numeric attribute's sort order in one
+// per-tree workspace. A node is a range of that workspace; partitioning
+// reorders the range in place with a stable count-then-fill pass, so
+// children are sub-ranges that keep their parent's sort order and no
+// node allocates index memory. A builder is used by one goroutine;
+// fold- and grid-level parallelism each construct their own.
 
 type fastBuilder struct {
 	cfg      Config
@@ -35,9 +38,21 @@ type fastBuilder struct {
 	// rootSorted, when non-nil, is the pre-merged per-attribute sort
 	// order handed over by a dataset.View, letting rootNode skip its
 	// sort entirely. Both are read-only: they may be shared with a
-	// fold-wide store that other goroutines are reading.
+	// fold-wide store that other goroutines are reading, so rootNode
+	// copies them into the workspace.
 	rootRows   []int32
 	rootSorted [][]int32
+
+	// Per-tree workspace, written by rootNode and reordered in place by
+	// partition: rows in instance order and, per numeric attribute, the
+	// rows in ascending value order (nil for nominal attributes). A
+	// fastNode is a range of both. scratch holds the rows partition
+	// moves out of the way; children is a stack of child ranges, pushed
+	// by partition and popped once the children are built.
+	rows     []int32
+	sorted   [][]int32
+	scratch  []int32
+	children []fastNode
 
 	// Split-scan scratch, reused across bestSplit calls. Safe because a
 	// node's best split is fully consumed (partition + node labelling)
@@ -53,11 +68,11 @@ type fastBuilder struct {
 	fillBuf   []int    // per-branch fill cursors
 }
 
-// fastNode is the per-node view: row ids, plus per-numeric-attribute row
-// ids in ascending value order.
+// fastNode is one node's range [lo, hi) of the builder's workspace:
+// fb.rows[lo:hi] are its rows in instance order and fb.sorted[a][lo:hi]
+// the same rows in ascending order of numeric attribute a.
 type fastNode struct {
-	rows   []int32
-	sorted [][]int32 // indexed by attr; nil for nominal attributes
+	lo, hi int
 }
 
 func newFastBuilder(cfg Config, d *dataset.Dataset) *fastBuilder {
@@ -134,25 +149,34 @@ func (fb *fastBuilder) initScratch() {
 	fb.fillBuf = make([]int, maxBranches)
 }
 
-func (fb *fastBuilder) rootNode() *fastNode {
-	nd := &fastNode{rows: fb.rootRows, sorted: make([][]int32, len(fb.attrs))}
-	if fb.rootSorted != nil {
-		// Pre-merged orders from the view; partition only reads them.
-		copy(nd.sorted, fb.rootSorted)
-		return nd
-	}
+// rootNode fills the workspace from the root state — one arena for the
+// row list and every numeric attribute's order, plus the partition
+// scratch — and returns the whole range.
+func (fb *fastBuilder) rootNode() fastNode {
 	n := len(fb.rootRows)
+	arena := make([]int32, n*(2+fb.nNumeric))
+	fb.rows = arena[:n:n]
+	fb.scratch = arena[n : 2*n : 2*n]
+	copy(fb.rows, fb.rootRows)
+	fb.sorted = make([][]int32, len(fb.attrs))
+	slab := 2 * n
 	for a := range fb.attrs {
 		if fb.attrs[a].Type != dataset.Numeric {
 			continue
 		}
-		idx := make([]int32, n)
-		copy(idx, fb.rootRows)
-		col := fb.cols[a]
-		sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
-		nd.sorted[a] = idx
+		idx := arena[slab : slab+n : slab+n]
+		slab += n
+		if fb.rootSorted != nil {
+			// Pre-merged order from the view.
+			copy(idx, fb.rootSorted[a])
+		} else {
+			copy(idx, fb.rootRows)
+			col := fb.cols[a]
+			sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
+		}
+		fb.sorted[a] = idx
 	}
-	return nd
+	return fastNode{lo: 0, hi: n}
 }
 
 // distribution allocates a fresh class distribution — the result escapes
@@ -165,8 +189,8 @@ func (fb *fastBuilder) distribution(rows []int32) []float64 {
 	return dist
 }
 
-func (fb *fastBuilder) build(nd *fastNode, depthSoFar int) *Node {
-	dist := fb.distribution(nd.rows)
+func (fb *fastBuilder) build(nd fastNode, depthSoFar int) *Node {
+	dist := fb.distribution(fb.rows[nd.lo:nd.hi])
 	node := &Node{Attr: -1, Dist: dist, Class: argmax(dist)}
 
 	totalW := sum(dist)
@@ -182,27 +206,31 @@ func (fb *fastBuilder) build(nd *fastNode, depthSoFar int) *Node {
 		return node
 	}
 
-	children := fb.partition(nd, best)
+	// The children's ranges sit on the stack at [base, base+nb); the
+	// recursion below may grow (and move) the stack, so they are read
+	// by index and popped once built.
+	base := fb.partition(nd, best)
+	nb := len(fb.children) - base
 	strong := 0
-	for i := range children {
-		if fb.weightOfRows(children[i].rows) >= fb.cfg.minLeaf() {
+	for _, c := range fb.children[base:] {
+		if fb.weightOfRows(fb.rows[c.lo:c.hi]) >= fb.cfg.minLeaf() {
 			strong++
 		}
 	}
-	if strong < 2 {
-		return node
-	}
-
-	node.Attr = best.attr
-	node.Threshold = best.threshold
-	node.Children = make([]*Node, len(children))
-	for i := range children {
-		if len(children[i].rows) == 0 {
-			node.Children[i] = &Node{Attr: -1, Dist: make([]float64, fb.nClasses), Class: node.Class}
-			continue
+	if strong >= 2 {
+		node.Attr = best.attr
+		node.Threshold = best.threshold
+		node.Children = make([]*Node, nb)
+		for i := range node.Children {
+			c := fb.children[base+i]
+			if c.lo == c.hi {
+				node.Children[i] = &Node{Attr: -1, Dist: make([]float64, fb.nClasses), Class: node.Class}
+				continue
+			}
+			node.Children[i] = fb.build(c, depthSoFar+1)
 		}
-		node.Children[i] = fb.build(&children[i], depthSoFar+1)
 	}
+	fb.children = fb.children[:base]
 	return node
 }
 
@@ -217,16 +245,16 @@ func (fb *fastBuilder) weightOfRows(rows []int32) float64 {
 // bestSplit scans every attribute, collecting candidates into the
 // builder's split scratch. The returned pointer aims into splitBuf and
 // is only valid until the next bestSplit call.
-func (fb *fastBuilder) bestSplit(nd *fastNode, dist []float64, totalW float64) *split {
+func (fb *fastBuilder) bestSplit(nd fastNode, dist []float64, totalW float64) *split {
 	fb.splitBuf = fb.splitBuf[:0]
 	fb.candBuf = fb.candBuf[:0]
 	for a := range fb.attrs {
 		var s split
 		var ok bool
 		if fb.attrs[a].Type == dataset.Numeric {
-			ok = fb.numericSplit(nd.sorted[a], a, dist, totalW, &s)
+			ok = fb.numericSplit(fb.sorted[a][nd.lo:nd.hi], a, dist, totalW, &s)
 		} else {
-			ok = fb.nominalSplit(nd.rows, a, dist, totalW, &s)
+			ok = fb.nominalSplit(fb.rows[nd.lo:nd.hi], a, dist, totalW, &s)
 		}
 		if ok && s.gain > 1e-12 {
 			fb.splitBuf = append(fb.splitBuf, s)
@@ -343,81 +371,77 @@ func (fb *fastBuilder) nominalSplit(rows []int32, attr int, dist []float64, tota
 	return true
 }
 
-// partition splits the node preserving every attribute's sort order.
-// Branch sizes are counted first, then every child's row list and
-// per-attribute sort order are carved out of one arena: three
-// allocations per node (arena, headers, child nodes) in place of
-// per-child append chains that each re-grow logarithmically.
-func (fb *fastBuilder) partition(nd *fastNode, s *split) []fastNode {
+// partition splits the node's range in place, preserving every
+// attribute's sort order: branch sizes are counted first, then the row
+// list and each numeric attribute's order are stably reordered so that
+// branch b occupies the same sub-range in all of them. It pushes the
+// children's ranges onto fb.children and returns the index of the
+// first. No allocation beyond the occasional growth of that stack.
+func (fb *fastBuilder) partition(nd fastNode, s *split) int {
 	numeric := fb.attrs[s.attr].Type == dataset.Numeric
 	nBranches := 2
 	if !numeric {
 		nBranches = len(fb.attrs[s.attr].Values)
 	}
 	col := fb.cols[s.attr]
-	branchOf := func(r int32) int {
-		if numeric {
-			if col[r] <= s.threshold {
-				return 0
-			}
-			return 1
-		}
-		return int(col[r])
-	}
 
 	counts := fb.countBuf[:nBranches]
 	for b := range counts {
 		counts[b] = 0
 	}
-	for _, r := range nd.rows {
-		counts[branchOf(r)]++
+	for _, r := range fb.rows[nd.lo:nd.hi] {
+		counts[branchOf(col, r, numeric, s.threshold)]++
 	}
 	starts := fb.startBuf[:nBranches]
+	base := len(fb.children)
 	off := 0
 	for b := range counts {
 		starts[b] = off
+		fb.children = append(fb.children, fastNode{lo: nd.lo + off, hi: nd.lo + off + counts[b]})
 		off += counts[b]
 	}
 
-	n := len(nd.rows)
-	nAttrs := len(fb.attrs)
-	// One arena backs the row lists and every numeric attribute's sort
-	// order; hdrs backs each child's per-attribute slice table.
-	arena := make([]int32, n*(1+fb.nNumeric))
-	hdrs := make([][]int32, nBranches*nAttrs)
-	nodes := make([]fastNode, nBranches)
-
-	rowsArena := arena[:n]
-	for b := range nodes {
-		nodes[b].rows = rowsArena[starts[b] : starts[b]+counts[b]]
-		nodes[b].sorted = hdrs[b*nAttrs : (b+1)*nAttrs]
+	fb.stablePartition(fb.rows[nd.lo:nd.hi], col, numeric, s.threshold, starts)
+	for _, order := range fb.sorted {
+		if order != nil {
+			fb.stablePartition(order[nd.lo:nd.hi], col, numeric, s.threshold, starts)
+		}
 	}
-	fill := fb.fillBuf[:nBranches]
+	return base
+}
+
+// branchOf returns the child a row goes to under a split on col.
+func branchOf(col []float64, r int32, numeric bool, threshold float64) int {
+	if numeric {
+		if col[r] <= threshold {
+			return 0
+		}
+		return 1
+	}
+	return int(col[r])
+}
+
+// stablePartition reorders seg so that branch b's rows fill
+// seg[starts[b]:starts[b+1]] in their original relative order. Branch 0
+// is compacted in place — its write cursor never passes the read
+// cursor — and the other branches are filled into scratch and copied
+// back behind it.
+func (fb *fastBuilder) stablePartition(seg []int32, col []float64, numeric bool, threshold float64, starts []int) {
+	fill := fb.fillBuf[:len(starts)]
 	copy(fill, starts)
-	for _, r := range nd.rows {
-		b := branchOf(r)
-		rowsArena[fill[b]] = r
-		fill[b]++
-	}
-
-	slabOff := n
-	for a := 0; a < nAttrs; a++ {
-		if nd.sorted[a] == nil {
+	head := starts[1]
+	tail := fb.scratch[:len(seg)-head]
+	for _, r := range seg {
+		b := branchOf(col, r, numeric, threshold)
+		if b == 0 {
+			seg[fill[0]] = r
+			fill[0]++
 			continue
 		}
-		slab := arena[slabOff : slabOff+n]
-		slabOff += n
-		copy(fill, starts)
-		for _, r := range nd.sorted[a] {
-			b := branchOf(r)
-			slab[fill[b]] = r
-			fill[b]++
-		}
-		for b := range nodes {
-			nodes[b].sorted[a] = slab[starts[b] : starts[b]+counts[b]]
-		}
+		tail[fill[b]-head] = r
+		fill[b]++
 	}
-	return nodes
+	copy(seg[head:], tail)
 }
 
 // selectSplit applies C4.5's rule: among candidates whose gain is at

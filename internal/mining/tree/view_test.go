@@ -2,6 +2,7 @@ package tree
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"edem/internal/dataset"
@@ -145,5 +146,110 @@ func TestFitTreeViewEmpty(t *testing.T) {
 	st := dataset.NewStore(d, []int{})
 	if _, err := (Learner{}).FitTreeView(st.IdentityView()); err != ErrEmptyTraining {
 		t.Fatalf("got %v, want ErrEmptyTraining", err)
+	}
+}
+
+// Partitioning reorders the builder's own workspace in place, never the
+// view's arrays: concurrent FitTreeView calls on one shared identity
+// view and one shared extend view must leave Rows and Sorted
+// byte-equal, and every tree must match the materialised paths. Run
+// under -race this also checks that no builder writes shared memory.
+func TestFitTreeViewConcurrentSharedViews(t *testing.T) {
+	// A diagonal class boundary over x and y, flipped in one nominal
+	// mode, grows a deep tree of axis-parallel splits, so partition runs
+	// at many depths and on both attribute kinds.
+	d := mixedDataset(1000, 24)
+	for i := range d.Instances {
+		vs := d.Instances[i].Values
+		class := 0
+		if vs[1]/4 > vs[0] {
+			class = 1
+		}
+		if vs[2] == 2 {
+			class = 1 - class
+		}
+		d.Instances[i].Class = class
+	}
+	st := dataset.NewStore(d, nil)
+	smote, err := sampling.SMOTEView(st, 1, 150, 5, stats.NewRNG(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]*dataset.View{"identity": st.IdentityView(), "extend": smote}
+
+	type snapshot struct {
+		rows   []int32
+		sorted [][]int32
+	}
+	snap := func(v *dataset.View) snapshot {
+		s := snapshot{rows: append([]int32(nil), v.Rows()...)}
+		for _, o := range v.Sorted() {
+			s.sorted = append(s.sorted, append([]int32(nil), o...))
+		}
+		return s
+	}
+	unpruned := Config{NoPrune: true}
+	type want struct {
+		pruned, raw *Node
+		before      snapshot
+	}
+	wants := map[string]want{}
+	for name, v := range views {
+		if v.HasMissing() {
+			t.Fatalf("%s: view lost its sort orders", name)
+		}
+		md := v.Materialize()
+		pruned, err := (Learner{}).FitTree(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb := newFastBuilder(unpruned, md)
+		raw := fb.build(fb.rootNode(), 0)
+		if (&Tree{Root: raw}).Size() < 40 {
+			t.Fatalf("%s: tree of %d nodes exercises too few partitions", name, (&Tree{Root: raw}).Size())
+		}
+		wants[name] = want{pruned: pruned.Root, raw: raw, before: snap(v)}
+	}
+
+	const workers = 8
+	errs := make(chan string, workers*len(views)*2)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		for name, v := range views {
+			wg.Add(1)
+			go func(name string, v *dataset.View) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					got, err := (Learner{}).FitTreeView(v)
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if !nodesEqual(got.Root, wants[name].pruned) {
+						errs <- name + ": FitTreeView differs from FitTree(v.Materialize())"
+						return
+					}
+					raw, err := (Learner{Config: unpruned}).FitTreeView(v)
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if !nodesEqual(raw.Root, wants[name].raw) {
+						errs <- name + ": unpruned FitTreeView differs from newFastBuilder"
+						return
+					}
+				}
+			}(name, v)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	for name, v := range views {
+		if !reflect.DeepEqual(snap(v), wants[name].before) {
+			t.Fatalf("%s: Rows or Sorted changed under concurrent induction", name)
+		}
 	}
 }

@@ -8,8 +8,10 @@
 #   OUT=/tmp/refine.json CAMPAIGN_OUT=/tmp/campaign.json SERVE_OUT=/tmp/serve.json scripts/bench.sh
 #
 # BENCH_refine.json covers the refinement grid end-to-end
-# (BenchmarkRefineGrid, serial + budgeted workers) plus the micro
-# kernels it is built from (C4.5 induction, SMOTE, cross-validation).
+# (BenchmarkRefineGrid: a synthetic set serial + budgeted workers, and
+# the real 7Z-B2 campaign), the SMOTE neighbour index on one 7Z-B2
+# fold (BenchmarkNeighborIndex) and the micro kernels refinement is
+# built from (C4.5 induction, SMOTE, cross-validation).
 # BENCH_campaign.json covers the resumable campaign engine
 # (BenchmarkCampaign: bare propane reference, engine overhead,
 # journaled checkpointing, and journal replay = resume overhead).
@@ -71,7 +73,7 @@ END {
     echo "wrote $SUITE_OUT"
 }
 
-run_suite 'BenchmarkRefineGrid|BenchmarkMicro_C45Induction|BenchmarkMicro_SMOTE|BenchmarkMicro_CrossValidate' "${OUT:-BENCH_refine.json}"
+run_suite 'BenchmarkRefineGrid|BenchmarkNeighborIndex|BenchmarkMicro_C45Induction|BenchmarkMicro_SMOTE|BenchmarkMicro_CrossValidate' "${OUT:-BENCH_refine.json}"
 run_suite 'BenchmarkCampaign/' "${CAMPAIGN_OUT:-BENCH_campaign.json}"
 run_suite 'BenchmarkFabric/' "${FABRIC_OUT:-BENCH_fabric.json}"
 
