@@ -252,6 +252,11 @@ func (t *telemetryCfg) finish() {
 	snap := t.reg.Snapshot()
 	if t.trace {
 		fmt.Fprint(os.Stderr, snap.FormatTree())
+		if n, ok := snap.Counters["refine.index_prefetches"]; ok {
+			w := snap.Hists["refine.index_wait_ns"]
+			fmt.Fprintf(os.Stderr, "refine index: %d built ahead of their cells; %d waits on a fold's store or index, %s in total\n",
+				n, w.Count, time.Duration(w.Sum).Round(time.Microsecond))
+		}
 	}
 	if t.metricsOut != "" {
 		err := writeFile(t.metricsOut, func(f *os.File) error { return snap.WriteJSON(f) })

@@ -93,8 +93,6 @@ func NewStore(d *Dataset, rows []int) *Store {
 			slab += n
 			copy(idx, s.identity)
 			col := s.cols[a]
-			// Same comparator newFastBuilder's root sort uses, so the
-			// permutation (ties included) matches the instance path.
 			sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
 			s.sorted[a] = idx
 		}

@@ -2,17 +2,16 @@ package tree
 
 import (
 	"math"
-	"sort"
 
 	"edem/internal/dataset"
 )
 
 // The fast induction path applies when the training data has no missing
-// values: attribute columns are sorted once and the sort order is
-// preserved through partitioning, removing the per-node sort that
-// dominates induction cost on large fault-injection datasets. Datasets
-// with missing values fall back to the general builder, which handles
-// fractional instance weights.
+// values. It starts from a dataset.View, whose store sorted every
+// numeric column once, and preserves that order through partitioning,
+// removing the per-node sort that dominates induction cost on large
+// fault-injection datasets. Datasets with missing values fall back to
+// the general builder, which handles fractional instance weights.
 //
 // A second cost on large campaigns is allocation churn: the refinement
 // grid induces thousands of trees per dataset, so per-node garbage adds
@@ -20,10 +19,10 @@ import (
 // distributions, candidate splits, branch counters) on the builder, and
 // holds the row list and every numeric attribute's sort order in one
 // per-tree workspace. A node is a range of that workspace; partitioning
-// reorders the range in place with a stable count-then-fill pass, so
-// children are sub-ranges that keep their parent's sort order and no
-// node allocates index memory. A builder is used by one goroutine;
-// fold- and grid-level parallelism each construct their own.
+// reorders the range in place with a stable pass, so children are
+// sub-ranges that keep their parent's sort order and no node allocates
+// index memory. A builder is used by one goroutine; fold- and
+// grid-level parallelism each construct their own.
 
 type fastBuilder struct {
 	cfg      Config
@@ -34,11 +33,10 @@ type fastBuilder struct {
 	nClasses int
 	nNumeric int // numeric attribute count: sorted-order slabs per node
 
-	// Root state. rootRows is the training rows in instance order;
-	// rootSorted, when non-nil, is the pre-merged per-attribute sort
-	// order handed over by a dataset.View, letting rootNode skip its
-	// sort entirely. Both are read-only: they may be shared with a
-	// fold-wide store that other goroutines are reading, so rootNode
+	// Root state, handed over by a dataset.View: the training rows in
+	// instance order and the pre-merged per-attribute sort order, so
+	// rootNode never sorts. Both are read-only: they may be shared with
+	// a fold-wide store that other goroutines are reading, so rootNode
 	// copies them into the workspace.
 	rootRows   []int32
 	rootSorted [][]int32
@@ -75,43 +73,10 @@ type fastNode struct {
 	lo, hi int
 }
 
-func newFastBuilder(cfg Config, d *dataset.Dataset) *fastBuilder {
-	n := d.Len()
-	fb := &fastBuilder{
-		cfg:      cfg,
-		attrs:    d.Attrs,
-		cols:     make([][]float64, len(d.Attrs)),
-		classes:  make([]int, n),
-		weights:  make([]float64, n),
-		nClasses: len(d.ClassValues),
-	}
-	for a := range d.Attrs {
-		col := make([]float64, n)
-		for i := range d.Instances {
-			col[i] = d.Instances[i].Values[a]
-		}
-		fb.cols[a] = col
-	}
-	for i := range d.Instances {
-		fb.classes[i] = d.Instances[i].Class
-		w := d.Instances[i].Weight
-		if w <= 0 {
-			w = 1
-		}
-		fb.weights[i] = w
-	}
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	fb.rootRows = rows
-	fb.initScratch()
-	return fb
-}
-
-// newViewBuilder wires a builder straight to a columnar view's arrays:
-// no column materialisation, no weight clamp pass (the store clamps at
-// build), and — when the view carries merge-order sorts — no root sort.
+// newViewBuilder wires a builder straight to a missing-free columnar
+// view's arrays: no column materialisation, no weight clamp pass (the
+// store clamps at build) and no root sort (the view carries merged sort
+// orders).
 func newViewBuilder(cfg Config, v *dataset.View) *fastBuilder {
 	fb := &fastBuilder{
 		cfg:        cfg,
@@ -166,14 +131,7 @@ func (fb *fastBuilder) rootNode() fastNode {
 		}
 		idx := arena[slab : slab+n : slab+n]
 		slab += n
-		if fb.rootSorted != nil {
-			// Pre-merged order from the view.
-			copy(idx, fb.rootSorted[a])
-		} else {
-			copy(idx, fb.rootRows)
-			col := fb.cols[a]
-			sort.Slice(idx, func(i, j int) bool { return col[idx[i]] < col[idx[j]] })
-		}
+		copy(idx, fb.rootSorted[a])
 		fb.sorted[a] = idx
 	}
 	return fastNode{lo: 0, hi: n}
@@ -286,25 +244,32 @@ func (fb *fastBuilder) numericSplit(sorted []int32, attr int, dist []float64, to
 		distinct   = 1
 		leftW      = 0.0
 	)
-	for i := 0; i < len(sorted)-1; i++ {
-		r := sorted[i]
-		w := fb.weights[r]
-		c := fb.classes[r]
+	// Each value is loaded once: the row moving left and its value
+	// carry over from the previous step's look-ahead.
+	weights, classes := fb.weights, fb.classes
+	minLeaf := fb.cfg.minLeaf()
+	r := sorted[0]
+	v := col[r]
+	for _, next := range sorted[1:] {
+		w := weights[r]
+		c := classes[r]
 		left[c] += w
 		right[c] -= w
 		leftW += w
-		if col[r] == col[sorted[i+1]] {
+		thresh := v
+		r, v = next, col[next]
+		if thresh == v {
 			continue
 		}
 		distinct++
-		if leftW < fb.cfg.minLeaf() || totalW-leftW < fb.cfg.minLeaf() {
+		if leftW < minLeaf || totalW-leftW < minLeaf {
 			continue
 		}
 		childEntropy := (leftW*entropy(left) + (totalW-leftW)*entropy(right)) / totalW
 		gain := baseEntropy - childEntropy
 		if gain > bestGain {
 			bestGain = gain
-			bestThresh = col[r]
+			bestThresh = thresh
 			bestLeftW = leftW
 		}
 	}
@@ -372,67 +337,85 @@ func (fb *fastBuilder) nominalSplit(rows []int32, attr int, dist []float64, tota
 }
 
 // partition splits the node's range in place, preserving every
-// attribute's sort order: branch sizes are counted first, then the row
-// list and each numeric attribute's order are stably reordered so that
-// branch b occupies the same sub-range in all of them. It pushes the
-// children's ranges onto fb.children and returns the index of the
-// first. No allocation beyond the occasional growth of that stack.
+// attribute's sort order: the row list and each numeric attribute's
+// order are stably reordered so that branch b occupies the same
+// sub-range in all of them. It pushes the children's ranges onto
+// fb.children and returns the index of the first. No allocation beyond
+// the occasional growth of that stack.
 func (fb *fastBuilder) partition(nd fastNode, s *split) int {
-	numeric := fb.attrs[s.attr].Type == dataset.Numeric
-	nBranches := 2
-	if !numeric {
-		nBranches = len(fb.attrs[s.attr].Values)
-	}
 	col := fb.cols[s.attr]
+	base := len(fb.children)
+	if fb.attrs[s.attr].Type == dataset.Numeric {
+		mid := nd.lo + fb.splitTwoWay(fb.rows[nd.lo:nd.hi], col, s.threshold)
+		for _, order := range fb.sorted {
+			if order != nil {
+				fb.splitTwoWay(order[nd.lo:nd.hi], col, s.threshold)
+			}
+		}
+		fb.children = append(fb.children, fastNode{lo: nd.lo, hi: mid}, fastNode{lo: mid, hi: nd.hi})
+		return base
+	}
 
-	counts := fb.countBuf[:nBranches]
+	// Nominal: count branch sizes first, then fill each branch's range.
+	counts := fb.countBuf[:len(fb.attrs[s.attr].Values)]
 	for b := range counts {
 		counts[b] = 0
 	}
 	for _, r := range fb.rows[nd.lo:nd.hi] {
-		counts[branchOf(col, r, numeric, s.threshold)]++
+		counts[int(col[r])]++
 	}
-	starts := fb.startBuf[:nBranches]
-	base := len(fb.children)
+	starts := fb.startBuf[:len(counts)]
 	off := 0
 	for b := range counts {
 		starts[b] = off
 		fb.children = append(fb.children, fastNode{lo: nd.lo + off, hi: nd.lo + off + counts[b]})
 		off += counts[b]
 	}
-
-	fb.stablePartition(fb.rows[nd.lo:nd.hi], col, numeric, s.threshold, starts)
+	fb.stablePartition(fb.rows[nd.lo:nd.hi], col, starts)
 	for _, order := range fb.sorted {
 		if order != nil {
-			fb.stablePartition(order[nd.lo:nd.hi], col, numeric, s.threshold, starts)
+			fb.stablePartition(order[nd.lo:nd.hi], col, starts)
 		}
 	}
 	return base
 }
 
-// branchOf returns the child a row goes to under a split on col.
-func branchOf(col []float64, r int32, numeric bool, threshold float64) int {
-	if numeric {
-		if col[r] <= threshold {
-			return 0
+// splitTwoWay stably moves the rows of seg whose value is at most
+// threshold to its front, the rest behind them, and returns how many
+// went left; NaN values go right, as in Classify. Every row is written
+// to both cursors — the left one in seg, which never passes the read
+// position, and the right one in scratch — and only its own side's
+// cursor advances, so the loop has no data-dependent branch to
+// mispredict.
+func (fb *fastBuilder) splitTwoWay(seg []int32, col []float64, threshold float64) int {
+	tail := fb.scratch[:len(seg)]
+	nl, nr := 0, 0
+	for _, r := range seg {
+		right := 0
+		if !(col[r] <= threshold) {
+			right = 1
 		}
-		return 1
+		seg[nl] = r
+		tail[nr] = r
+		nl += 1 - right
+		nr += right
 	}
-	return int(col[r])
+	copy(seg[nl:], tail[:nr])
+	return nl
 }
 
-// stablePartition reorders seg so that branch b's rows fill
+// stablePartition reorders seg so that nominal branch b's rows fill
 // seg[starts[b]:starts[b+1]] in their original relative order. Branch 0
 // is compacted in place — its write cursor never passes the read
 // cursor — and the other branches are filled into scratch and copied
 // back behind it.
-func (fb *fastBuilder) stablePartition(seg []int32, col []float64, numeric bool, threshold float64, starts []int) {
+func (fb *fastBuilder) stablePartition(seg []int32, col []float64, starts []int) {
 	fill := fb.fillBuf[:len(starts)]
 	copy(fill, starts)
 	head := starts[1]
 	tail := fb.scratch[:len(seg)-head]
 	for _, r := range seg {
-		b := branchOf(col, r, numeric, threshold)
+		b := int(col[r])
 		if b == 0 {
 			seg[fill[0]] = r
 			fill[0]++

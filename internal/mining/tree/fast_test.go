@@ -60,13 +60,12 @@ func TestFastMatchesGeneral(t *testing.T) {
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			d := mixedDataset(300, seed)
-			fb := newFastBuilder(cfg, d)
-			fast := fb.build(fb.rootNode(), 0)
-			if !cfg.NoPrune {
-				prune(fast, cfg.confidence())
+			fast, err := (Learner{Config: cfg}).FitTree(d)
+			if err != nil {
+				t.Fatal(err)
 			}
 			general := fitGeneral(cfg, d)
-			if !treesEqual(fast, general) {
+			if !treesEqual(fast.Root, general) {
 				t.Errorf("cfg %+v seed %d: fast and general trees differ", cfg, seed)
 			}
 		}
@@ -101,12 +100,11 @@ func TestFastMatchesGeneralProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%150) + 20
 		d := mixedDataset(n, seed)
-		cfg := Config{}
-		fb := newFastBuilder(cfg, d)
-		fast := fb.build(fb.rootNode(), 0)
-		prune(fast, cfg.confidence())
-		general := fitGeneral(cfg, d)
-		return treesEqual(fast, general)
+		fast, err := (Learner{}).FitTree(d)
+		if err != nil {
+			return false
+		}
+		return treesEqual(fast.Root, fitGeneral(Config{}, d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

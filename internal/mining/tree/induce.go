@@ -77,26 +77,23 @@ func (l Learner) FitTree(d *dataset.Dataset) (*Tree, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("tree: %w", err)
 	}
-	var root *Node
-	if d.HasMissing() {
-		// General path: fractional instance weights across branches.
-		b := &builder{cfg: l.Config, d: d}
-		items := make([]item, d.Len())
-		for i := range d.Instances {
-			in := &d.Instances[i]
-			w := in.Weight
-			if w <= 0 {
-				w = 1
-			}
-			items[i] = item{values: in.Values, class: in.Class, w: w}
-		}
-		root = b.build(items, 0)
-	} else {
-		// Fast path: columns sorted once, order preserved by partition.
-		fb := newFastBuilder(l.Config, d)
-		root = fb.build(fb.rootNode(), 0)
+	if !d.HasMissing() {
+		// Fast path: the columnar store sorts every numeric column once
+		// and partitioning preserves that order.
+		return l.FitTreeView(dataset.NewStore(d, nil).IdentityView())
 	}
-	t := &Tree{Root: root, Attrs: d.Attrs, ClassValues: d.ClassValues}
+	// General path: fractional instance weights across branches.
+	b := &builder{cfg: l.Config, d: d}
+	items := make([]item, d.Len())
+	for i := range d.Instances {
+		in := &d.Instances[i]
+		w := in.Weight
+		if w <= 0 {
+			w = 1
+		}
+		items[i] = item{values: in.Values, class: in.Class, w: w}
+	}
+	t := &Tree{Root: b.build(items, 0), Attrs: d.Attrs, ClassValues: d.ClassValues}
 	if !l.Config.NoPrune {
 		prune(t.Root, l.Config.confidence())
 	}
@@ -115,14 +112,15 @@ func (l Learner) FitView(v *dataset.View) (mining.Classifier, error) {
 
 var _ mining.ViewFitter = Learner{}
 
-// FitTreeView induces a tree from a columnar dataset.View. When the
-// view carries pre-merged sort orders the builder starts directly on
-// the shared arrays — no missing-value rescan, no column build, no root
-// sort. A view without sort orders (missing values in the store, or
-// NaN-valued synthetics) is materialised and routed through FitTree,
-// which lands in the general fractional-weight builder exactly as the
-// instance-based path would. The view's arrays are only read, so one
-// view may feed many concurrent FitTreeView calls.
+// FitTreeView induces a tree from a columnar dataset.View; it is the
+// only entry into the fast builder. When the view carries pre-merged
+// sort orders the builder starts directly on the shared arrays — no
+// missing-value rescan, no column build, no root sort. A view without
+// sort orders (missing values in the store, or NaN-valued synthetics)
+// is materialised and routed through FitTree, which lands in the
+// general fractional-weight builder exactly as the instance-based path
+// would. The view's arrays are only read, so one view may feed many
+// concurrent FitTreeView calls.
 func (l Learner) FitTreeView(v *dataset.View) (*Tree, error) {
 	if v.Len() == 0 {
 		return nil, ErrEmptyTraining

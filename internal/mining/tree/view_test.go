@@ -30,22 +30,25 @@ func nodesEqual(a, b *Node) bool {
 	return true
 }
 
-// FitTreeView on the identity view must reproduce FitTree on the same
-// partition bit for bit: same columns, same instance order, same sort
-// comparator.
+// FitTree routes missing-free data through FitTreeView on the store's
+// identity view. Both entries must still induce the tree the instance
+// path built before that routing, pinned here by digest.
 func TestFitTreeViewMatchesFitTree(t *testing.T) {
+	const want = "ae81cf85b742b624"
 	d := mixedDataset(400, 21)
-	want, err := (Learner{}).FitTree(d)
+	viaDataset, err := (Learner{}).FitTree(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := dataset.NewStore(d, nil)
-	got, err := (Learner{}).FitTreeView(st.IdentityView())
+	viaView, err := (Learner{}).FitTreeView(dataset.NewStore(d, nil).IdentityView())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nodesEqual(want.Root, got.Root) {
-		t.Fatal("view-based tree diverges from instance-based tree")
+	if got := treeDigest(viaDataset.Root); got != want {
+		t.Fatalf("FitTree digest %s, want %s", got, want)
+	}
+	if !nodesEqual(viaDataset.Root, viaView.Root) {
+		t.Fatal("FitTreeView on the identity view diverges from FitTree")
 	}
 }
 
@@ -155,21 +158,7 @@ func TestFitTreeViewEmpty(t *testing.T) {
 // byte-equal, and every tree must match the materialised paths. Run
 // under -race this also checks that no builder writes shared memory.
 func TestFitTreeViewConcurrentSharedViews(t *testing.T) {
-	// A diagonal class boundary over x and y, flipped in one nominal
-	// mode, grows a deep tree of axis-parallel splits, so partition runs
-	// at many depths and on both attribute kinds.
-	d := mixedDataset(1000, 24)
-	for i := range d.Instances {
-		vs := d.Instances[i].Values
-		class := 0
-		if vs[1]/4 > vs[0] {
-			class = 1
-		}
-		if vs[2] == 2 {
-			class = 1 - class
-		}
-		d.Instances[i].Class = class
-	}
+	d := diagonalDataset(1000, 24)
 	st := dataset.NewStore(d, nil)
 	smote, err := sampling.SMOTEView(st, 1, 150, 5, stats.NewRNG(41))
 	if err != nil {
@@ -203,12 +192,14 @@ func TestFitTreeViewConcurrentSharedViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb := newFastBuilder(unpruned, md)
-		raw := fb.build(fb.rootNode(), 0)
-		if (&Tree{Root: raw}).Size() < 40 {
-			t.Fatalf("%s: tree of %d nodes exercises too few partitions", name, (&Tree{Root: raw}).Size())
+		raw, err := (Learner{Config: unpruned}).FitTree(md)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wants[name] = want{pruned: pruned.Root, raw: raw, before: snap(v)}
+		if raw.Size() < 40 {
+			t.Fatalf("%s: tree of %d nodes exercises too few partitions", name, raw.Size())
+		}
+		wants[name] = want{pruned: pruned.Root, raw: raw.Root, before: snap(v)}
 	}
 
 	const workers = 8
@@ -235,7 +226,7 @@ func TestFitTreeViewConcurrentSharedViews(t *testing.T) {
 						return
 					}
 					if !nodesEqual(raw.Root, wants[name].raw) {
-						errs <- name + ": unpruned FitTreeView differs from newFastBuilder"
+						errs <- name + ": unpruned FitTreeView differs from unpruned FitTree(v.Materialize())"
 						return
 					}
 				}

@@ -84,6 +84,9 @@ func (s *Span) End() time.Duration {
 // reads are cheap (no stop-the-world), but the count is process-wide,
 // so spans that overlap concurrent work attribute each other's
 // allocations; treat the column as an upper bound under parallelism.
+// The runtime also publishes small-object counts only when a P hands
+// back a cached span (on refill or at a GC), so a short span can miss
+// or borrow up to one span's worth of objects per size class.
 const heapAllocsSample = "/gc/heap/allocs:objects"
 
 func heapAllocs() uint64 {

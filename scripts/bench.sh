@@ -3,7 +3,8 @@
 # snapshots, so the perf trajectory is comparable PR-over-PR.
 #
 # Usage:
-#   scripts/bench.sh            # writes BENCH_refine.json + BENCH_campaign.json + BENCH_serve.json
+#   scripts/bench.sh            # writes BENCH_refine.json + BENCH_campaign.json + BENCH_fabric.json
+#                               # + BENCH_serve.json + BENCH_pipeline.json
 #   BENCHTIME=3x scripts/bench.sh
 #   OUT=/tmp/refine.json CAMPAIGN_OUT=/tmp/campaign.json SERVE_OUT=/tmp/serve.json scripts/bench.sh
 #
@@ -23,6 +24,9 @@
 # latency percentiles, throughput and shed rate for every codec ×
 # evaluation-mode leg (json/binary × interpreted/compiled) against a
 # bundle exported from a real methodology run.
+# BENCH_pipeline.json (scripts/bench_pipeline.sh) is the
+# end-to-end unit: wall time of `edem run -dataset 7Z-B2` with and
+# without -full, 5 samples each, with median, min, max and nproc.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -89,3 +93,5 @@ go build -o "$TMPDIR_SERVE/edem" ./cmd/edem
     -out "${SERVE_OUT:-BENCH_serve.json}" \
     -duration "${SERVE_DURATION:-3s}"
 echo "wrote ${SERVE_OUT:-BENCH_serve.json}"
+
+scripts/bench_pipeline.sh
